@@ -120,7 +120,8 @@ echo "daemon soak: fault-armed run exited clean with full attribution"
 # top: a forced drift trip mid-soak must degrade that shard's wrapper to
 # float serving (sticky, attributed in the drift-guard table) while the
 # fleet keeps full request attribution — and crashed shards must come back
-# quantized (the restart path re-wraps the reloaded checkpoint).
+# quantized (every restart builds a fresh int8 wrapper around the reloaded
+# checkpoint).
 EALGAP_FAULTS="daemon.queue.full:p=0.05:seed=11,daemon.shard.crash:p=0.01:seed=13,nn.quant.drift:every=97:max=2" \
   "$TOOL" daemon --shards 3 --ticks 200 --days 40 --epochs 0 --quant \
   --state-dir "$RESUME_TMP/daemon_state_quant" | tail -n 3
@@ -139,6 +140,19 @@ EALGAP_FAULTS="serve.adapt.nan:every=3,serve.adapt.reject:every=4,serve.adapt.er
   --adapt-holdout 4 --adapt-cooldown 8 \
   --state-dir "$RESUME_TMP/daemon_state_adapt" | tail -n 4
 echo "daemon soak: adaptive fault-armed run exited clean with full attribution"
+
+# The same adaptive soak over int8, WITHOUT --state-dir: every crash is a
+# cold restart, which must rebuild the shard's wrappers around its
+# in-memory model through the same builder as a checkpoint restart, and
+# must count each incarnation's adaptation exactly once. The tool exits 3
+# if any request or attempt goes unattributed or if adaptation observed
+# more steps than the fleet applied, so exit 0 IS the attribution
+# assertion.
+EALGAP_FAULTS="daemon.queue.full:p=0.05:seed=11,daemon.shard.crash:every=83,serve.adapt.nan:every=3,serve.adapt.reject:every=4" \
+  "$TOOL" daemon --shards 2 --ticks 200 --days 40 --epochs 0 --adapt --quant \
+  --adapt-cusum-h 4 --adapt-window 32 --adapt-min-window 12 \
+  --adapt-holdout 4 --adapt-cooldown 8 | tail -n 4
+echo "daemon soak: cold-restart adaptive int8 run exited clean with full attribution"
 
 echo "===== alloc-free stage: zero-allocation serve contract ====="
 # The counting run: alloc_guard_test links a malloc-family interposition

@@ -72,32 +72,26 @@ void AdaptStats::Accumulate(const AdaptStats& other) {
   frozen_log_err += other.frozen_log_err;
 }
 
-AdaptivePredictor::AdaptivePredictor(Forecaster* serving,
+AdaptivePredictor::AdaptivePredictor(NeuralForecaster* trainee,
                                      QuantizedForecaster* quant,
-                                     NeuralForecaster* trainee,
                                      AdaptOptions options)
-    : serving_(serving),
+    : trainee_(trainee),
       quant_(quant),
-      trainee_(trainee),
+      serving_(quant != nullptr ? static_cast<Forecaster*>(quant) : trainee),
       options_(options) {}
 
 Result<std::unique_ptr<AdaptivePredictor>> AdaptivePredictor::Create(
-    Forecaster* serving, AdaptOptions options) {
-  if (serving == nullptr) {
+    NeuralForecaster* trainee, QuantizedForecaster* quant_or_null,
+    AdaptOptions options) {
+  if (trainee == nullptr) {
     return Status::InvalidArgument("AdaptivePredictor needs a model");
   }
-  auto* quant = dynamic_cast<QuantizedForecaster*>(serving);
-  NeuralForecaster* trainee =
-      quant != nullptr ? quant->inner()
-                       : dynamic_cast<NeuralForecaster*>(serving);
-  if (trainee == nullptr) {
+  if (quant_or_null != nullptr && quant_or_null->inner() != trainee) {
     return Status::InvalidArgument(
-        serving->name() +
-        " is not a gradient-trained forecaster; AdaptivePredictor needs a "
-        "NeuralForecaster (optionally behind a QuantizedForecaster)");
+        "AdaptivePredictor's int8 wrapper must wrap the trainee");
   }
-  if (!serving->SupportsStreaming()) {
-    return Status::InvalidArgument(serving->name() +
+  if (!trainee->SupportsStreaming()) {
+    return Status::InvalidArgument(trainee->name() +
                                    " does not support streaming prediction");
   }
   if (options.holdout < 1 || options.min_window <= options.holdout ||
@@ -122,18 +116,10 @@ Result<std::unique_ptr<AdaptivePredictor>> AdaptivePredictor::Create(
         "cusum_h > 0, sigma_floor > 0, ewma_alpha in (0,1])");
   }
   std::unique_ptr<AdaptivePredictor> wrapper(
-      new AdaptivePredictor(serving, quant, trainee, options));
+      new AdaptivePredictor(trainee, quant_or_null, options));
   // The frozen A/B arm is the weights at wrapper creation; capturing also
   // verifies the model is fitted.
   EALGAP_ASSIGN_OR_RETURN(wrapper->frozen_params_, trainee->CaptureParams());
-  return wrapper;
-}
-
-Result<std::unique_ptr<AdaptivePredictor>> AdaptivePredictor::Create(
-    std::unique_ptr<Forecaster> serving, AdaptOptions options) {
-  EALGAP_ASSIGN_OR_RETURN(std::unique_ptr<AdaptivePredictor> wrapper,
-                          Create(serving.get(), options));
-  wrapper->owned_serving_ = std::move(serving);
   return wrapper;
 }
 

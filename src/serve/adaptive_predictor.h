@@ -172,14 +172,12 @@ struct AdaptStats {
 /// phases them; the serve tool interleaves them on one thread).
 class AdaptivePredictor : public Forecaster {
  public:
-  /// `serving` must be a fitted NeuralForecaster or a QuantizedForecaster
-  /// over one, and must outlive the wrapper.
+  /// Serves through `quant_or_null` when set (it must wrap `trainee`),
+  /// else through the fitted `trainee` itself. Both must outlive the
+  /// wrapper; serve/stack.h builds the layers in this order.
   static Result<std::unique_ptr<AdaptivePredictor>> Create(
-      Forecaster* serving, AdaptOptions options = {});
-
-  /// Owning variant (the daemon's shards hand their model over wholesale).
-  static Result<std::unique_ptr<AdaptivePredictor>> Create(
-      std::unique_ptr<Forecaster> serving, AdaptOptions options = {});
+      NeuralForecaster* trainee, QuantizedForecaster* quant_or_null,
+      AdaptOptions options = {});
 
   std::string name() const override;
   bool SupportsStreaming() const override;
@@ -214,10 +212,6 @@ class AdaptivePredictor : public Forecaster {
   /// The float model that is micro-fine-tuned (the quant wrapper's inner
   /// model when serving quantized).
   NeuralForecaster* trainee() { return trainee_; }
-  /// The wrapped serving model (quant wrapper or the trainee itself).
-  Forecaster* serving() { return serving_; }
-  /// Non-null when serving through an int8 wrapper.
-  QuantizedForecaster* quant() { return quant_; }
 
   /// Persists the detector + freeze state (CRC'd, atomic) so a restarted
   /// shard resumes its drift posture along with the adapted weights in the
@@ -228,8 +222,8 @@ class AdaptivePredictor : public Forecaster {
   Status LoadState(const std::string& path);
 
  private:
-  AdaptivePredictor(Forecaster* serving, QuantizedForecaster* quant,
-                    NeuralForecaster* trainee, AdaptOptions options);
+  AdaptivePredictor(NeuralForecaster* trainee, QuantizedForecaster* quant,
+                    AdaptOptions options);
 
   /// Backfills `pending_` from the next step's sample, updates the
   /// detector and A/B accumulators, and pushes it into the ring.
@@ -243,10 +237,9 @@ class AdaptivePredictor : public Forecaster {
                        std::vector<double>* out, Status* forward);
   Result<AdaptEvent> RunAttempt();
 
-  Forecaster* serving_;            // owned iff owned_serving_ holds it
-  std::unique_ptr<Forecaster> owned_serving_;
-  QuantizedForecaster* quant_;     // non-null when serving quantized
   NeuralForecaster* trainee_;
+  QuantizedForecaster* quant_;  // non-null when serving quantized
+  Forecaster* serving_;         // quant_ when set, else trainee_
   AdaptOptions options_;
 
   AdaptStats stats_;

@@ -58,10 +58,11 @@ struct SloReport {
   int64_t shed_quarantine_observe = 0;
   int64_t queued_observe = 0;
 
-  /// Test-time adaptation attribution, folded from every shard across
-  /// restarts (all-zero when serving without --adapt). Its own
-  /// conservation law — attempts == commits + rollbacks — rides along
+  /// Wrapper telemetry, folded from every shard across restarts (all-zero
+  /// when the stacks lack the wrapper). Adaptation has its own
+  /// conservation law — attempts == commits + rollbacks — riding along
   /// with the request law: adapt.UnattributedAdaptations() must be zero.
+  QuantStats quant;
   AdaptStats adapt;
 
   // Supervisor.

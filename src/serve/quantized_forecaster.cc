@@ -25,6 +25,15 @@ void AtomicMax(std::atomic<uint64_t>& bits, double d) {
 
 }  // namespace
 
+void QuantStats::Accumulate(const QuantStats& other) {
+  quant_steps += other.quant_steps;
+  float_steps += other.float_steps;
+  probes += other.probes;
+  drift_trips += other.drift_trips;
+  max_drift = std::max(max_drift, other.max_drift);
+  tripped = tripped || other.tripped;
+}
+
 QuantizedForecaster::QuantizedForecaster(NeuralForecaster* inner,
                                          QuantOptions options)
     : inner_(inner), options_(options) {}
@@ -43,14 +52,6 @@ Result<std::unique_ptr<QuantizedForecaster>> QuantizedForecaster::Create(
   }
   return std::unique_ptr<QuantizedForecaster>(
       new QuantizedForecaster(inner, options));
-}
-
-Result<std::unique_ptr<QuantizedForecaster>> QuantizedForecaster::Create(
-    std::unique_ptr<NeuralForecaster> inner, QuantOptions options) {
-  EALGAP_ASSIGN_OR_RETURN(std::unique_ptr<QuantizedForecaster> wrapper,
-                          Create(inner.get(), options));
-  wrapper->owned_inner_ = std::move(inner);
-  return wrapper;
 }
 
 std::string QuantizedForecaster::name() const { return inner_->name(); }

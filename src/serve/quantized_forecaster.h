@@ -43,6 +43,10 @@ struct QuantStats {
   int64_t drift_trips = 0;   ///< probes whose drift exceeded the threshold
   double max_drift = 0.0;    ///< largest per-region relative drift probed
   bool tripped = false;      ///< guard is tripped (serving float)
+
+  /// Folds another incarnation's counters in (daemon restart accounting;
+  /// max_drift takes the larger value, the sticky trip is OR'd).
+  void Accumulate(const QuantStats& other);
 };
 
 /// Wraps a fitted NeuralForecaster so the serve path runs its forward
@@ -70,11 +74,6 @@ class QuantizedForecaster : public Forecaster {
   /// wrapper; its Linears are packed here (repacking is idempotent).
   static Result<std::unique_ptr<QuantizedForecaster>> Create(
       NeuralForecaster* inner, QuantOptions options = {});
-
-  /// Owning variant for callers that hand the model over wholesale (the
-  /// daemon's shards own their models).
-  static Result<std::unique_ptr<QuantizedForecaster>> Create(
-      std::unique_ptr<NeuralForecaster> inner, QuantOptions options = {});
 
   std::string name() const override;
   bool SupportsStreaming() const override;
@@ -116,8 +115,7 @@ class QuantizedForecaster : public Forecaster {
  private:
   QuantizedForecaster(NeuralForecaster* inner, QuantOptions options);
 
-  NeuralForecaster* inner_;  // owned iff owned_inner_ holds it
-  std::unique_ptr<NeuralForecaster> owned_inner_;
+  NeuralForecaster* inner_;
   QuantOptions options_;
 
   std::atomic<bool> tripped_{false};

@@ -3,29 +3,8 @@
 #include <filesystem>
 #include <utility>
 
-#include "baselines/neural.h"
-#include "serve/quantized_forecaster.h"
-
 namespace ealgap {
 namespace serve {
-
-namespace {
-
-/// The checkpointable model behind a served Forecaster: the adaptive
-/// wrapper checkpoints its trainee (detector state has its own file), a
-/// quantized wrapper its inner float model (the packs are derived state,
-/// rebuilt from the checkpoint).
-NeuralForecaster* CheckpointableModel(Forecaster* model) {
-  if (auto* adaptive = dynamic_cast<AdaptivePredictor*>(model)) {
-    return adaptive->trainee();
-  }
-  if (auto* quant = dynamic_cast<QuantizedForecaster*>(model)) {
-    return quant->inner();
-  }
-  return dynamic_cast<NeuralForecaster*>(model);
-}
-
-}  // namespace
 
 const char* RejectCauseName(RejectCause cause) {
   switch (cause) {
@@ -48,14 +27,12 @@ const char* ShardHealthName(ShardHealth health) {
 Result<std::unique_ptr<Shard>> Shard::Create(
     data::SlidingWindowDataset dataset, std::unique_ptr<Forecaster> model,
     int64_t serve_begin, ShardConfig config, ModelReloader reloader) {
-  if (model == nullptr) {
-    return Status::InvalidArgument("Shard needs a fitted model");
-  }
   if (config.queue_capacity < 2) config.queue_capacity = 2;
   auto shard = std::unique_ptr<Shard>(new Shard());
+  EALGAP_ASSIGN_OR_RETURN(shard->stack_,
+                          BuildStack(std::move(model), config.stack));
   shard->config_ = std::move(config);
   shard->dataset_ = std::move(dataset);
-  shard->model_ = std::move(model);
   shard->reloader_ = std::move(reloader);
   shard->serve_begin_ = serve_begin;
   shard->next_feed_step_ = serve_begin;
@@ -73,9 +50,8 @@ Result<std::unique_ptr<Shard>> Shard::Create(
     // The model checkpoint is written at creation; without adaptation the
     // parameters never change while serving, and with it MaybeCheckpoint
     // re-saves the file after committed adaptations. Non-neural models
-    // have no checkpoint format; their restarts reuse the in-memory
-    // object.
-    if (auto* neural = CheckpointableModel(shard->model_.get())) {
+    // have no checkpoint format; their restarts reuse the in-memory base.
+    if (auto* neural = shard->stack_.checkpointable()) {
       Status saved = neural->SaveCheckpoint(shard->ModelPath());
       if (!saved.ok()) ++shard->totals_.checkpoint_failures;
     }
@@ -94,15 +70,17 @@ Result<std::unique_ptr<Shard>> Shard::Create(
 
 Status Shard::SeedPredictor() {
   auto predictor =
-      OnlinePredictor::Create(model_.get(), dataset_, serve_begin_);
+      OnlinePredictor::Create(stack_.top(), dataset_, serve_begin_);
   EALGAP_RETURN_IF_ERROR(predictor.status());
-  predictor_ =
-      std::make_unique<OnlinePredictor>(std::move(predictor).value());
-  predictor_->SetGuardPolicy(config_.guard);
-  resilient_ =
-      std::make_unique<ResilientPredictor>(predictor_.get(),
-                                           config_.resilience);
+  WirePredictor(std::move(predictor).value());
   return Status::OK();
+}
+
+void Shard::WirePredictor(OnlinePredictor predictor) {
+  predictor_ = std::make_unique<OnlinePredictor>(std::move(predictor));
+  predictor_->SetGuardPolicy(config_.guard);
+  resilient_ = std::make_unique<ResilientPredictor>(predictor_.get(),
+                                                    config_.resilience);
 }
 
 const std::vector<double>& Shard::FeedCounts(int64_t step) {
@@ -187,37 +165,41 @@ void Shard::BeginQuarantine(int64_t now_tick, bool injected_crash) {
   probation_healthy_ = 0;
 }
 
-void Shard::AccumulateIncarnation() {
-  if (auto* ap = adaptive()) totals_.adapt.Accumulate(ap->stats());
+void Shard::FoldIncarnation(ShardTotals* totals) const {
+  if (stack_.quant != nullptr) totals->quant.Accumulate(stack_.quant->stats());
+  if (stack_.adaptive != nullptr) {
+    totals->adapt.Accumulate(stack_.adaptive->stats());
+  }
   const GuardStats& gs = predictor_->guard_stats();
-  totals_.repaired_values += gs.repaired_values;
-  totals_.gap_steps_filled += gs.gap_steps_filled;
-  if (totals_.quarantine_by_region.size() < gs.quarantine.size()) {
-    totals_.quarantine_by_region.resize(gs.quarantine.size(), 0);
+  totals->repaired_values += gs.repaired_values;
+  totals->gap_steps_filled += gs.gap_steps_filled;
+  if (totals->quarantine_by_region.size() < gs.quarantine.size()) {
+    totals->quarantine_by_region.resize(gs.quarantine.size(), 0);
   }
   for (size_t r = 0; r < gs.quarantine.size(); ++r) {
-    totals_.quarantine_by_region[r] += gs.quarantine[r];
+    totals->quarantine_by_region[r] += gs.quarantine[r];
   }
 }
 
 Status Shard::Restart() {
-  AccumulateIncarnation();  // the dying incarnation's guard counters
+  Result<ServingStack> built = Status::NotFound("no model reloaded");
+  if (!config_.state_dir.empty() && reloader_) {
+    auto model = reloader_(ModelPath());
+    if (model.ok()) built = BuildStack(std::move(model).value(), config_.stack);
+  }
+  if (!built.ok()) built = BuildStack(std::move(stack_.base), config_.stack);
+  // A failed build left the dying incarnation intact: stay fenced, retry.
+  EALGAP_RETURN_IF_ERROR(built.status());
+
+  FoldIncarnation(&totals_);
+  // The old layers die with `built`, top-down, once the new stack is in.
+  std::swap(stack_, built.value());
 
   bool restored = false;
   if (!config_.state_dir.empty()) {
-    if (reloader_) {
-      auto model = reloader_(ModelPath());
-      if (model.ok()) model_ = std::move(model).value();
-      // A failed model reload falls back to the in-memory object: the
-      // parameters are identical, only the load-path rehearsal is lost.
-    }
-    auto state = OnlinePredictor::LoadState(StatePath(), model_.get());
+    auto state = OnlinePredictor::LoadState(StatePath(), stack_.top());
     if (state.ok()) {
-      predictor_ =
-          std::make_unique<OnlinePredictor>(std::move(state).value());
-      predictor_->SetGuardPolicy(config_.guard);
-      resilient_ = std::make_unique<ResilientPredictor>(predictor_.get(),
-                                                        config_.resilience);
+      WirePredictor(std::move(state).value());
       restored = true;
       ++totals_.restarts_from_checkpoint;
     }
@@ -229,11 +211,11 @@ Status Shard::Restart() {
     EALGAP_RETURN_IF_ERROR(SeedPredictor());
   }
 
-  // A reloaded adaptive wrapper starts a fresh incarnation (zero stats,
-  // frozen A/B arm rebaselined to the reloaded — possibly adapted —
-  // weights); its drift posture resumes from the persisted adapt state.
+  // The fresh adaptive wrapper starts with zero stats and its frozen A/B
+  // arm baselined to the base's current (possibly adapted) weights; its
+  // drift posture resumes from the persisted adapt state.
   adapt_commits_checkpointed_ = 0;
-  if (auto* ap = adaptive()) {
+  if (auto* ap = stack_.adaptive.get()) {
     if (!config_.state_dir.empty() &&
         std::filesystem::exists(AdaptStatePath())) {
       // A corrupt adapt state is survivable: the detector restarts cold,
@@ -252,7 +234,7 @@ Status Shard::Restart() {
 
 Result<AdaptEvent> Shard::MaybeAdapt() {
   if (health_ == ShardHealth::kQuarantined) return AdaptEvent{};
-  auto* ap = adaptive();
+  auto* ap = stack_.adaptive.get();
   if (ap == nullptr) return AdaptEvent{};
   return ap->MaybeAdapt();
 }
@@ -267,12 +249,12 @@ void Shard::MaybeCheckpoint() {
   } else {
     ++totals_.checkpoint_failures;
   }
-  if (auto* ap = adaptive()) {
+  if (auto* ap = stack_.adaptive.get()) {
     // Committed adaptations changed the weights since the last model save:
     // without this re-save a quarantine-restart would silently serve the
     // pre-adaptation parameters.
     if (ap->stats().commits != adapt_commits_checkpointed_) {
-      if (auto* neural = CheckpointableModel(model_.get())) {
+      if (auto* neural = stack_.checkpointable()) {
         const Status model_saved = neural->SaveCheckpoint(ModelPath());
         if (model_saved.ok()) {
           adapt_commits_checkpointed_ = ap->stats().commits;
@@ -293,18 +275,7 @@ void Shard::MaybeCheckpoint() {
 
 ShardTotals Shard::Totals() const {
   ShardTotals out = totals_;
-  if (auto* ap = dynamic_cast<const AdaptivePredictor*>(model_.get())) {
-    out.adapt.Accumulate(ap->stats());
-  }
-  const GuardStats& gs = predictor_->guard_stats();
-  out.repaired_values += gs.repaired_values;
-  out.gap_steps_filled += gs.gap_steps_filled;
-  if (out.quarantine_by_region.size() < gs.quarantine.size()) {
-    out.quarantine_by_region.resize(gs.quarantine.size(), 0);
-  }
-  for (size_t r = 0; r < gs.quarantine.size(); ++r) {
-    out.quarantine_by_region[r] += gs.quarantine[r];
-  }
+  FoldIncarnation(&out);
   return out;
 }
 

@@ -12,9 +12,9 @@
 #include "common/bounded_queue.h"
 #include "common/result.h"
 #include "data/dataset.h"
-#include "serve/adaptive_predictor.h"
 #include "serve/online_predictor.h"
 #include "serve/resilient_predictor.h"
+#include "serve/stack.h"
 
 namespace ealgap {
 namespace serve {
@@ -90,13 +90,16 @@ struct ShardConfig {
   /// the guard must absorb it instead of rejecting the feed forever.
   GuardPolicy guard;
   ResilienceOptions resilience;
+  /// Wrappers every incarnation serves through; each restart builds them
+  /// afresh around its base model (BuildStack). Empty: the base itself.
+  StackSpec stack;
 };
 
-/// Reloads a fitted model from a checkpoint path (the daemon tool passes
-/// core::LoadForecasterFromCheckpoint; serve cannot link core). When
-/// absent, restarts reuse the in-memory model object — parameters never
-/// change while serving, so this is behaviorally identical, it just
-/// skips rehearsing the model-file load path.
+/// Loads the bare base model from a checkpoint path. Callers pass
+/// core::LoadForecasterFromCheckpoint itself (serve cannot link core).
+/// When absent, restarts rebuild the stack around the in-memory base,
+/// which carries any committed adaptation; the reloader additionally
+/// rehearses the model-file load path.
 using ModelReloader =
     std::function<Result<std::unique_ptr<Forecaster>>(const std::string&)>;
 
@@ -120,16 +123,17 @@ struct ShardTotals {
   int64_t repaired_values = 0;
   int64_t gap_steps_filled = 0;
   std::vector<int64_t> quarantine_by_region;
-  /// Test-time adaptation attribution folded in from every incarnation
-  /// (all-zero unless the shard serves through an AdaptivePredictor).
+  /// Wrapper telemetry folded in from every incarnation (all-zero unless
+  /// the stack carries the wrapper).
+  QuantStats quant;
   AdaptStats adapt;
 };
 
-/// One serving shard: a ResilientPredictor chain over an OnlinePredictor,
-/// fed through a bounded MPSC queue, supervised by the daemon's watchdog,
-/// and restartable from its last CRC'd checkpoint. The shard owns its
-/// dataset slice — it doubles as the replay feed (the synthetic sensor)
-/// and as the cold-restart seed.
+/// One serving shard: a ResilientPredictor chain over an OnlinePredictor
+/// over the shard's ServingStack, fed through a bounded MPSC queue,
+/// supervised by the daemon's watchdog, and restartable from its last
+/// CRC'd checkpoint. The shard owns its dataset slice — it doubles as the
+/// replay feed (the synthetic sensor) and as the cold-restart seed.
 ///
 /// Thread contract: Enqueue() is safe from any thread (that is the
 /// queue's job); everything else is called by the daemon loop — either
@@ -146,7 +150,6 @@ class Shard {
       ModelReloader reloader = nullptr);
 
   const std::string& name() const { return config_.name; }
-  const ShardConfig& config() const { return config_; }
   ShardHealth health() const { return health_; }
   int64_t restart_at_tick() const { return restart_at_tick_; }
   BoundedQueue<Request>& queue() { return *queue_; }
@@ -187,41 +190,39 @@ class Shard {
   bool NoteStalledTick();
   void NoteDrainedTick() { stalled_streak_ = 0; }
 
-  /// Fences the shard and schedules its restart. Folds the dying
-  /// incarnation's counters into totals.
+  /// Fences the shard and schedules its restart.
   void BeginQuarantine(int64_t now_tick, bool injected_crash);
 
-  /// Restores the shard from its last CRC'd checkpoint (or re-seeds from
-  /// the dataset when there is none / no state_dir) and enters probation.
+  /// Folds the dying incarnation's counters into totals, then starts a
+  /// new one in probation: fresh wrappers (BuildStack) around the reloaded
+  /// model checkpoint, or around the in-memory base on a cold restart or a
+  /// failed reload; the predictor restored from its CRC'd checkpoint, or
+  /// re-seeded from the dataset when there is none / no state_dir.
   Status Restart();
 
   /// Writes the periodic predictor-state checkpoint when the cadence says
   /// so. Failures are counted, never fatal (the previous checkpoint
-  /// survives — that is WriteFileAtomic's contract). When the shard serves
-  /// through an AdaptivePredictor, committed adaptations also re-save the
+  /// survives — that is WriteFileAtomic's contract). When the stack carries
+  /// an AdaptivePredictor, committed adaptations also re-save the
   /// model checkpoint (so a quarantine-restart resumes the adapted
   /// weights) and the adapt state rides along on the same cadence.
   void MaybeCheckpoint();
 
-  /// Runs at most one deferred adaptation attempt (no-op unless the model
-  /// is an AdaptivePredictor and the shard is healthy). Called by the
-  /// daemon's single-threaded supervisor phase, never during the serve
-  /// fan-out.
+  /// Runs at most one deferred adaptation attempt (no-op unless the stack
+  /// carries an AdaptivePredictor and the shard is not quarantined).
+  /// Called by the daemon's single-threaded supervisor phase, never during
+  /// the serve fan-out.
   Result<AdaptEvent> MaybeAdapt();
 
   /// Lifetime totals + the live incarnation's counters folded together.
   ShardTotals Totals() const;
 
-  ResilientPredictor* resilient() { return resilient_.get(); }
   OnlinePredictor* predictor() { return predictor_.get(); }
-  /// The served model (e.g. for quantized-serving telemetry). May be
-  /// replaced by a restart-from-checkpoint; do not hold across ticks.
-  Forecaster* model() { return model_.get(); }
-  /// Non-null when serving through a test-time-adaptation wrapper. Same
-  /// lifetime caveat as model().
-  AdaptivePredictor* adaptive() {
-    return dynamic_cast<AdaptivePredictor*>(model_.get());
-  }
+  /// The served model: the stack's top (the base model under an empty
+  /// spec). Every restart replaces it; do not hold across ticks.
+  Forecaster* model() { return stack_.top(); }
+  /// The live incarnation's layers. Same lifetime caveat as model().
+  const ServingStack& stack() const { return stack_; }
 
  private:
   Shard() = default;
@@ -232,14 +233,17 @@ class Shard {
     return config_.state_dir + "/adapt.state";
   }
 
-  /// Builds predictor+chain around `model_` from a fresh dataset seed.
+  /// Builds predictor+chain around the stack's top from a fresh dataset
+  /// seed.
   Status SeedPredictor();
-  /// Folds the live incarnation's guard/degradation counters into totals_.
-  void AccumulateIncarnation();
+  /// Installs `predictor` with the configured guard and its chain.
+  void WirePredictor(OnlinePredictor predictor);
+  /// Folds the live incarnation's guard and wrapper counters into `totals`.
+  void FoldIncarnation(ShardTotals* totals) const;
 
   ShardConfig config_;
   data::SlidingWindowDataset dataset_;
-  std::unique_ptr<Forecaster> model_;
+  ServingStack stack_;
   ModelReloader reloader_;
   int64_t serve_begin_ = 0;
 

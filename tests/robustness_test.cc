@@ -428,7 +428,7 @@ TEST(RobustnessTest, CheckpointZeroDimensionRejectedByParameterName) {
 
 TEST(RobustnessTest, AdaptStateNegativeRegionsRejectedByFieldName) {
   corrupt::ServeFixture f = corrupt::ServeFixture::Make();
-  auto adaptive = serve::AdaptivePredictor::Create(f.model.get());
+  auto adaptive = serve::AdaptivePredictor::Create(f.model.get(), nullptr);
   ASSERT_TRUE(adaptive.ok()) << adaptive.status().ToString();
   const std::string path = ::testing::TempDir() + "/neg_regions.adapt";
   ASSERT_TRUE((*adaptive)->SaveState(path).ok());
@@ -442,7 +442,7 @@ TEST(RobustnessTest, AdaptStateNegativeRegionsRejectedByFieldName) {
 
 TEST(RobustnessTest, AdaptStateBitFlipFailsChecksum) {
   corrupt::ServeFixture f = corrupt::ServeFixture::Make();
-  auto adaptive = serve::AdaptivePredictor::Create(f.model.get());
+  auto adaptive = serve::AdaptivePredictor::Create(f.model.get(), nullptr);
   ASSERT_TRUE(adaptive.ok()) << adaptive.status().ToString();
   const std::string path = ::testing::TempDir() + "/bitflip.adapt";
   ASSERT_TRUE((*adaptive)->SaveState(path).ok());

@@ -34,6 +34,11 @@
 //             [--repair reject|hold-last|impute] [--deadline-ms D]
 //             [--recovery K] [--quant] [--quant-check-every N]
 //             [--quant-threshold D] [--quant-pack P.qpack]
+//             [--adapt] [--adapt-cusum-k K] [--adapt-cusum-h H]
+//             [--adapt-window W] [--adapt-holdout H] [--adapt-min-window M]
+//             [--adapt-cooldown C] [--adapt-steps S] [--adapt-lr LR]
+//             [--adapt-freeze-after F] [--adapt-probe-after P]
+//             [--adapt-shadow-every E]
 //       Loads a checkpointed model, seeds an OnlinePredictor at the start
 //       of the test range, and replays the test feed step by step
 //       (predict, then observe the realized counts) through the
@@ -50,7 +55,8 @@
 //       and --quant-pack a pack-cache
 //       file keyed to the checkpoint's CRC (stale caches are a hard
 //       error). --adapt serves through the test-time-adaptation wrapper
-//       (DESIGN.md §8h): a per-region CUSUM drift detector over
+//       (DESIGN.md §8h), stacked above --quant when both are on: a
+//       per-region CUSUM drift detector over
 //       matched-stat residuals triggers bounded micro-fine-tunes on the
 //       recent window, committed only when held-out validation improves
 //       (otherwise rolled back bit-exactly), with a sticky freeze after
@@ -66,12 +72,14 @@
 //       including serve.adapt.{nan,error,delay,reject}.
 //
 //   daemon    [--shards N] [--regions-per-shard R] [--days D] [--epochs E]
-//             [--ticks T] [--seed S] [--threads W] [--state-dir DIR]
-//             [--queue-capacity C] [--batch-max B] [--deadline-ticks K]
-//             [--ms-per-tick MS] [--model-deadline-ms MS]
+//             [--lr LR] [--ticks T] [--seed S] [--threads W]
+//             [--state-dir DIR] [--queue-capacity C] [--batch-max B]
+//             [--deadline-ticks K] [--ms-per-tick MS]
+//             [--model-deadline-ms MS] [--recovery K]
 //             [--checkpoint-every K] [--steady-rate X] [--steady-ticks A]
 //             [--burst-rate Y] [--burst-ticks B] [--load-seed S]
 //             [--quant] [--quant-check-every N] [--quant-threshold D]
+//             [--adapt] [--adapt-* knobs as for serve]
 //       Overload-safe sharded serving soak (DESIGN.md §8f): builds a
 //       synthetic fleet of N shards (R regions each), fits a small EALGAP
 //       model per shard, and drives T virtual-time ticks of seeded
@@ -80,19 +88,23 @@
 //       watchdog-supervised restart path. Prints the SLO report
 //       (throughput, latency percentiles, full shed/degraded/restart
 //       attribution, per-region guard quarantines) and the replay digest;
-//       exits non-zero if any request went unattributed. --state-dir
-//       enables on-disk CRC'd checkpoints so restarts rehearse the
-//       recover-from-disk path. --quant serves every shard through the
-//       int8 quantized forward with per-shard drift guards (restarts
-//       re-wrap the reloaded checkpoint). --adapt (same knobs as serve)
-//       adds per-shard test-time adaptation, run single-threaded from the
-//       supervisor phase; committed adaptations re-save the shard's model
-//       checkpoint and persist the detector state, so quarantine-restarts
-//       resume the adapted weights and drift posture — and with --quant
-//       the int8 packs are rebuilt after every commit (a failed repack
-//       trips the float fallback, never a stale pack). The SLO report
-//       folds adaptation attribution across restarts; exit 3 if any
-//       attempt goes unattributed. Arm EALGAP_FAULTS with
+//       exits non-zero if any request went unattributed. --lr is the
+//       per-shard training rate (default 3e-3) and --recovery the serving
+//       chain's hysteresis, as for serve. --state-dir enables on-disk
+//       CRC'd checkpoints so restarts rehearse the recover-from-disk path.
+//       --quant serves every shard through the int8 quantized forward
+//       with per-shard drift guards; --adapt (same knobs as serve) adds
+//       per-shard test-time adaptation, run single-threaded from the
+//       supervisor phase. Every restart builds fresh wrappers (DESIGN.md
+//       §8f) around the reloaded checkpoint, or the in-memory model
+//       without --state-dir. Committed adaptations re-save the shard's
+//       model checkpoint and persist the detector state, so
+//       quarantine-restarts resume the adapted weights and drift posture
+//       — and with --quant the int8 packs are rebuilt after every commit
+//       (a failed repack trips the float fallback, never a stale pack).
+//       The SLO report folds drift-guard telemetry and adaptation
+//       attribution across restarts; exit 3 if any attempt goes
+//       unattributed. Arm EALGAP_FAULTS with
 //       daemon.queue.full / daemon.shard.stall / daemon.shard.crash (plus
 //       the nn.* sites, including nn.quant.drift, and the
 //       serve.adapt.* sites) for chaos soaks.
@@ -124,6 +136,7 @@
 #include "serve/online_predictor.h"
 #include "serve/quantized_forecaster.h"
 #include "serve/resilient_predictor.h"
+#include "serve/stack.h"
 #include "stats/metrics.h"
 
 namespace {
@@ -313,6 +326,15 @@ serve::AdaptOptions AdaptOptionsFromFlags(const Flags& flags) {
   return opt;
 }
 
+/// --quant / --adapt (with their knobs) as the wrappers serve and daemon
+/// stack on the model.
+serve::StackSpec StackSpecFromFlags(const Flags& flags) {
+  serve::StackSpec spec;
+  if (flags.GetBool("quant")) spec.quant = QuantOptionsFromFlags(flags);
+  if (flags.GetBool("adapt")) spec.adapt = AdaptOptionsFromFlags(flags);
+  return spec;
+}
+
 /// Adaptation attribution + the shadow A/B scoreboard. Returns non-zero
 /// when the adaptation conservation law is broken (every attempt must be
 /// a commit or exactly one kind of rollback).
@@ -378,7 +400,8 @@ int Evaluate(const Flags& flags) {
   if (!model.ok()) return Fail(model.status());
   Status fit = (*model)->Fit(prepared.dataset, prepared.split, train);
   if (!fit.ok()) return Fail(fit);
-  if (auto* neural = dynamic_cast<NeuralForecaster*>(model->get())) {
+  auto* neural = dynamic_cast<NeuralForecaster*>(model->get());
+  if (neural != nullptr) {
     const TrainStats& ts = neural->train_stats();
     if (ts.rollbacks > 0 || ts.resumed_epoch >= 0) {
       std::cout << "training: " << ts.epochs_completed << " epochs";
@@ -396,7 +419,6 @@ int Evaluate(const Flags& flags) {
 
   const std::string save_path = flags.GetString("save", "");
   if (!save_path.empty()) {
-    auto* neural = dynamic_cast<NeuralForecaster*>(model->get());
     if (neural == nullptr) {
       std::cerr << "error: --save supports neural schemes only, not "
                 << scheme << "\n";
@@ -416,7 +438,6 @@ int Evaluate(const Flags& flags) {
                stats::ComputeMetrics(pred, truth));
 
   if (flags.GetBool("quant")) {
-    auto* neural = dynamic_cast<NeuralForecaster*>(model->get());
     if (neural == nullptr) {
       std::cerr << "error: --quant supports neural schemes only, not "
                 << scheme << "\n";
@@ -555,53 +576,31 @@ int Serve(const Flags& flags) {
 
   auto model = core::LoadForecasterFromCheckpoint(ckpt);
   if (!model.ok()) return Fail(model.status());
+  auto stack =
+      serve::BuildStack(std::move(model).value(), StackSpecFromFlags(flags));
+  if (!stack.ok()) return Fail(stack.status());
+  serve::QuantizedForecaster* quant = stack->quant.get();
+  serve::AdaptivePredictor* adaptive = stack->adaptive.get();
 
-  // --quant: serve through the int8 forward with the drift guard. The
-  // optional pack cache is keyed to the checkpoint file's CRC — loading a
-  // cache built from different checkpoint bytes is a hard error, never a
+  // --quant-pack: a pack cache keyed to the checkpoint file's CRC. Loading
+  // a cache built from different checkpoint bytes is a hard error, never a
   // silent repack.
-  Forecaster* serving = model->get();
-  std::unique_ptr<serve::QuantizedForecaster> quant;
-  if (flags.GetBool("quant")) {
-    auto* neural = dynamic_cast<NeuralForecaster*>(model->get());
-    if (neural == nullptr) {
-      std::cerr << "error: --quant requires a neural checkpoint\n";
-      return 1;
+  const std::string pack_path = flags.GetString("quant-pack", "");
+  if (quant != nullptr && !pack_path.empty()) {
+    NeuralForecaster* neural = stack->checkpointable();
+    if (std::ifstream(pack_path).good()) {
+      Status loaded = neural->LoadQuantPack(pack_path, ckpt);
+      if (!loaded.ok()) return Fail(loaded);
+      std::cout << "quantized packs loaded from " << pack_path << "\n";
+    } else {
+      Status saved = neural->SaveQuantPack(pack_path, ckpt);
+      if (!saved.ok()) return Fail(saved);
+      std::cout << "quantized packs written to " << pack_path << "\n";
     }
-    auto q = serve::QuantizedForecaster::Create(neural,
-                                                QuantOptionsFromFlags(flags));
-    if (!q.ok()) return Fail(q.status());
-    quant = std::move(q).value();
-    const std::string pack_path = flags.GetString("quant-pack", "");
-    if (!pack_path.empty()) {
-      if (std::ifstream(pack_path).good()) {
-        Status loaded = neural->LoadQuantPack(pack_path, ckpt);
-        if (!loaded.ok()) return Fail(loaded);
-        std::cout << "quantized packs loaded from " << pack_path << "\n";
-      } else {
-        Status saved = neural->SaveQuantPack(pack_path, ckpt);
-        if (!saved.ok()) return Fail(saved);
-        std::cout << "quantized packs written to " << pack_path << "\n";
-      }
-    }
-    serving = quant.get();
-  }
-
-  // --adapt: test-time adaptation between the predictor and the model
-  // (stacks on top of --quant). The replay loop runs MaybeAdapt after
-  // every observe — outside the timed predict path, like the daemon's
-  // supervisor phase.
-  std::unique_ptr<serve::AdaptivePredictor> adaptive;
-  if (flags.GetBool("adapt")) {
-    auto a = serve::AdaptivePredictor::Create(serving,
-                                              AdaptOptionsFromFlags(flags));
-    if (!a.ok()) return Fail(a.status());
-    adaptive = std::move(a).value();
-    serving = adaptive.get();
   }
 
   auto predictor = serve::OnlinePredictor::Create(
-      serving, prepared.dataset, prepared.split.test_begin);
+      stack->top(), prepared.dataset, prepared.split.test_begin);
   if (!predictor.ok()) return Fail(predictor.status());
 
   auto repair = serve::ParseRepairPolicy(flags.GetString("repair", "reject"));
@@ -638,13 +637,15 @@ int Serve(const Flags& flags) {
     }
     Status obs = resilient.Observe(observed);
     if (!obs.ok()) return Fail(obs);
+    // --adapt: the deferred attempt runs after every observe, outside the
+    // timed predict path, like the daemon's supervisor phase.
     if (adaptive != nullptr) {
       auto event = adaptive->MaybeAdapt();
       if (!event.ok()) return Fail(event.status());
     }
   }
 
-  PrintMetrics("replay metrics (" + (*model)->name() + ")",
+  PrintMetrics("replay metrics (" + stack->base->name() + ")",
                stats::ComputeMetrics(pred, truth));
 
   std::vector<double> sorted = latency_ms;
@@ -734,10 +735,7 @@ int Daemon(const Flags& flags) {
       flags.GetDouble("model-deadline-ms", 50.0);
   serve::Daemon daemon(daemon_config);
 
-  const bool quant_enabled = flags.GetBool("quant");
-  const serve::QuantOptions qopt = QuantOptionsFromFlags(flags);
-  const bool adapt_enabled = flags.GetBool("adapt");
-  const serve::AdaptOptions aopt = AdaptOptionsFromFlags(flags);
+  const serve::StackSpec spec = StackSpecFromFlags(flags);
 
   const std::string state_dir = flags.GetString("state-dir", "");
   for (int s = 0; s < shards; ++s) {
@@ -778,60 +776,12 @@ int Daemon(const Flags& flags) {
     shard_config.guard.max_gap_steps = 4096;
     shard_config.resilience.recovery_successes =
         static_cast<int>(flags.GetInt("recovery", 3));
-    // --quant: each shard serves through its own drift-guarded int8
-    // wrapper, and restarts-from-checkpoint re-wrap the reloaded float
-    // model so a restarted shard keeps serving quantized.
-    std::unique_ptr<Forecaster> serving_model;
-    serve::ModelReloader reloader;
-    if (quant_enabled) {
-      auto quant = serve::QuantizedForecaster::Create(
-          std::unique_ptr<NeuralForecaster>(std::move(model)), qopt);
-      if (!quant.ok()) return Fail(quant.status());
-      serving_model = std::move(quant).value();
-      reloader = [qopt](const std::string& path)
-          -> Result<std::unique_ptr<Forecaster>> {
-        auto loaded = core::LoadForecasterFromCheckpoint(path);
-        if (!loaded.ok()) return loaded.status();
-        auto* neural = dynamic_cast<NeuralForecaster*>(loaded->get());
-        if (neural == nullptr) {
-          return Status::InvalidArgument(
-              "reloaded checkpoint is not a neural model; cannot quantize");
-        }
-        loaded->release();
-        auto rewrapped = serve::QuantizedForecaster::Create(
-            std::unique_ptr<NeuralForecaster>(neural), qopt);
-        if (!rewrapped.ok()) return rewrapped.status();
-        return std::unique_ptr<Forecaster>(std::move(rewrapped).value());
-      };
-    } else {
-      serving_model = std::move(model);
-      reloader = [](const std::string& path) {
-        return core::LoadForecasterFromCheckpoint(path);
-      };
-    }
-    // --adapt: stack the test-time-adaptation wrapper on top (of the quant
-    // wrapper when both are on). Restarts re-wrap the reloaded checkpoint
-    // the same way, so a restarted shard resumes adapting — and, with
-    // --quant, repacks from the reloaded (possibly adapted) weights.
-    if (adapt_enabled) {
-      auto adaptive =
-          serve::AdaptivePredictor::Create(std::move(serving_model), aopt);
-      if (!adaptive.ok()) return Fail(adaptive.status());
-      serving_model = std::move(adaptive).value();
-      serve::ModelReloader inner = std::move(reloader);
-      reloader = [inner, aopt](const std::string& path)
-          -> Result<std::unique_ptr<Forecaster>> {
-        auto loaded = inner(path);
-        if (!loaded.ok()) return loaded.status();
-        auto rewrapped = serve::AdaptivePredictor::Create(
-            std::move(loaded).value(), aopt);
-        if (!rewrapped.ok()) return rewrapped.status();
-        return std::unique_ptr<Forecaster>(std::move(rewrapped).value());
-      };
-    }
+    // Every incarnation of the shard serves through fresh wrappers built
+    // around its base model (the reloaded checkpoint after a restart).
+    shard_config.stack = spec;
     auto shard = serve::Shard::Create(
-        std::move(*dataset), std::move(serving_model), split->test_begin,
-        shard_config, std::move(reloader));
+        std::move(*dataset), std::move(model), split->test_begin,
+        shard_config, core::LoadForecasterFromCheckpoint);
     if (!shard.ok()) return Fail(shard.status());
     daemon.AddShard(std::move(shard).value());
   }
@@ -936,30 +886,17 @@ int Daemon(const Flags& flags) {
   ht.Print(std::cout);
   PrintRegionQuarantines(fleet_quarantine);
 
-  if (quant_enabled) {
-    // Fleet-wide drift-guard telemetry, aggregated over whatever wrapper
-    // each shard is serving right now (restarts replace the model).
-    serve::QuantStats fleet;
-    for (int s = 0; s < daemon.num_shards(); ++s) {
-      Forecaster* model = daemon.shard(s)->model();
-      if (auto* adaptive = dynamic_cast<serve::AdaptivePredictor*>(model)) {
-        model = adaptive->serving();  // quant wrapper lives underneath
-      }
-      auto* quant = dynamic_cast<serve::QuantizedForecaster*>(model);
-      if (quant == nullptr) continue;
-      const serve::QuantStats qs = quant->stats();
-      fleet.quant_steps += qs.quant_steps;
-      fleet.float_steps += qs.float_steps;
-      fleet.probes += qs.probes;
-      fleet.drift_trips += qs.drift_trips;
-      fleet.max_drift = std::max(fleet.max_drift, qs.max_drift);
-      fleet.tripped = fleet.tripped || qs.tripped;
-    }
-    PrintQuantStats(fleet);
-  }
-
+  if (spec.quant) PrintQuantStats(report.quant);
   int adapt_rc = 0;
-  if (adapt_enabled) adapt_rc = PrintAdaptStats(report.adapt);
+  if (spec.adapt) adapt_rc = PrintAdaptStats(report.adapt);
+  // Each observed sample needs an applied observe; more means some
+  // incarnation's adaptation was counted twice.
+  if (report.adapt.observed > report.observes_applied) {
+    std::cerr << "error: adaptation observed " << report.adapt.observed
+              << " steps but only " << report.observes_applied
+              << " observes were applied\n";
+    adapt_rc = 3;
+  }
 
   std::cout << "replay digest: " << Crc32Hex(daemon.digest()) << "\n";
   const int64_t bad_predicts = report.UnattributedPredicts();
