@@ -1,44 +1,21 @@
 #include "common/aligned_alloc.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-
-#ifdef __linux__
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
 
 namespace ealgap {
 namespace {
 
 /// Every block carries a kCacheAlign-byte header right before the user
-/// pointer, so AlignedFree can route to the right release path without a
-/// side table (a side table would itself allocate — unacceptable under
-/// the serve path's zero-allocation contract).
+/// pointer. Its magic lets AlignedFree reject foreign pointers and double
+/// frees without a side table (a side table would itself allocate —
+/// unacceptable under the serve path's zero-allocation contract).
 struct BlockHeader {
-  std::uint64_t magic;   // kHeapMagic or kMmapMagic
-  std::size_t total;     // full block size including the header
+  std::uint64_t magic;
 };
 static_assert(sizeof(BlockHeader) <= kCacheAlign);
 
 constexpr std::uint64_t kHeapMagic = 0x45414c47'41503031ull;  // "EALGAP01"
-constexpr std::uint64_t kMmapMagic = 0x45414c47'41503032ull;  // "EALGAP02"
-
-/// Blocks at or above this size try the huge-page mmap path when
-/// EALGAP_HUGE_PAGES=1 (2 MiB = x86-64 huge page).
-constexpr std::size_t kHugePageThreshold = 2u << 20;
-
-std::atomic<std::size_t> g_live_bytes{0};
-
-bool HugePagesEnabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("EALGAP_HUGE_PAGES");
-    return v != nullptr && v[0] == '1';
-  }();
-  return enabled;
-}
 
 std::size_t RoundUp(std::size_t v, std::size_t align) {
   return (v + align - 1) & ~(align - 1);
@@ -53,38 +30,9 @@ std::size_t RoundUp(std::size_t v, std::size_t align) {
 
 void* AlignedAlloc(std::size_t bytes) {
   const std::size_t payload = RoundUp(bytes == 0 ? 1 : bytes, kCacheAlign);
-
-#ifdef __linux__
-  if (HugePagesEnabled() && payload >= kHugePageThreshold) {
-    // align_mm-style path: a private anonymous mapping rounded to whole
-    // pages, advised to back with transparent huge pages. The header
-    // occupies the first kCacheAlign bytes; the user pointer stays
-    // 64-byte aligned because mmap returns page-aligned memory.
-    const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-    const std::size_t total = RoundUp(kCacheAlign + payload, page);
-    void* base = mmap(nullptr, total, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (base != MAP_FAILED) {
-#ifdef MADV_HUGEPAGE
-      madvise(base, total, MADV_HUGEPAGE);
-#endif
-      auto* h = static_cast<BlockHeader*>(base);
-      h->magic = kMmapMagic;
-      h->total = total;
-      g_live_bytes.fetch_add(total, std::memory_order_relaxed);
-      return static_cast<char*>(base) + kCacheAlign;
-    }
-    // Fall through to the heap path on mmap failure.
-  }
-#endif
-
-  const std::size_t total = kCacheAlign + payload;
-  void* base = std::aligned_alloc(kCacheAlign, total);
+  void* base = std::aligned_alloc(kCacheAlign, kCacheAlign + payload);
   if (base == nullptr) DieOom(bytes);
-  auto* h = static_cast<BlockHeader*>(base);
-  h->magic = kHeapMagic;
-  h->total = total;
-  g_live_bytes.fetch_add(total, std::memory_order_relaxed);
+  static_cast<BlockHeader*>(base)->magic = kHeapMagic;
   return static_cast<char*>(base) + kCacheAlign;
 }
 
@@ -92,25 +40,12 @@ void AlignedFree(void* p) noexcept {
   if (p == nullptr) return;
   char* base = static_cast<char*>(p) - kCacheAlign;
   auto* h = reinterpret_cast<BlockHeader*>(base);
-  const std::uint64_t magic = h->magic;
+  if (h->magic != kHeapMagic) {
+    std::fprintf(stderr, "ealgap: AlignedFree of foreign pointer %p\n", p);
+    std::abort();
+  }
   h->magic = 0;  // catches double-free as a magic mismatch
-  g_live_bytes.fetch_sub(h->total, std::memory_order_relaxed);
-  if (magic == kHeapMagic) {
-    std::free(base);
-    return;
-  }
-#ifdef __linux__
-  if (magic == kMmapMagic) {
-    munmap(base, h->total);
-    return;
-  }
-#endif
-  std::fprintf(stderr, "ealgap: AlignedFree of foreign pointer %p\n", p);
-  std::abort();
-}
-
-std::size_t AlignedAllocLiveBytes() {
-  return g_live_bytes.load(std::memory_order_relaxed);
+  std::free(base);
 }
 
 }  // namespace ealgap

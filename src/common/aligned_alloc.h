@@ -5,15 +5,12 @@
 /// Tensor storage, the serve arena, and the flat ring/slot buffers of
 /// serve::OnlinePredictor (DESIGN.md §8e).
 ///
-/// Everything hot allocates through AlignedAlloc so that (a) SIMD kernels
-/// can take the aligned-load path whenever base pointers line up, and
-/// (b) buffers never straddle a cache line boundary mid-vector. Large
-/// blocks can opt into transparent huge pages (EALGAP_HUGE_PAGES=1) via a
-/// private mmap, which removes dTLB pressure for the N=10k-region rings.
+/// Everything hot allocates through AlignedAlloc so that buffers start on
+/// a cache line: a vector row never straddles a line boundary at the base
+/// pointer, and per-thread blocks never share a line (false sharing).
 
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <type_traits>
 
 namespace ealgap {
@@ -30,41 +27,13 @@ inline bool IsAligned(const void* p, std::size_t align = kCacheAlign) {
 
 /// Allocates `bytes` with at least kCacheAlign alignment. Never returns
 /// nullptr (aborts on OOM like operator new). bytes == 0 returns a valid
-/// unique pointer. Free with AlignedFree — NOT free()/delete: blocks above
-/// the huge-page threshold may come from mmap when EALGAP_HUGE_PAGES=1.
+/// unique pointer. Free with AlignedFree — NOT free()/delete: the user
+/// pointer sits one header past the start of the underlying block.
 void* AlignedAlloc(std::size_t bytes);
 
-/// Releases a block from AlignedAlloc.
+/// Releases a block from AlignedAlloc. Aborts on a pointer that did not
+/// come from AlignedAlloc or was already freed.
 void AlignedFree(void* p) noexcept;
-
-/// Number of live bytes handed out by AlignedAlloc (diagnostics).
-std::size_t AlignedAllocLiveBytes();
-
-/// STL-compatible allocator over AlignedAlloc — gives std::vector-based
-/// buffers (serve rings, slot stats) 64-byte base pointers so kernels can
-/// prove alignment. Stateless; all instances compare equal.
-template <typename T>
-struct AlignedAllocator {
-  using value_type = T;
-
-  AlignedAllocator() noexcept = default;
-  template <typename U>
-  AlignedAllocator(const AlignedAllocator<U>&) noexcept {}  // NOLINT
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(AlignedAlloc(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t) noexcept { AlignedFree(p); }
-
-  template <typename U>
-  bool operator==(const AlignedAllocator<U>&) const noexcept {
-    return true;
-  }
-  template <typename U>
-  bool operator!=(const AlignedAllocator<U>&) const noexcept {
-    return false;
-  }
-};
 
 /// Fixed-size 64-byte-aligned array of trivially-destructible T. Thin
 /// owning wrapper for code that wants "a flat aligned buffer" without

@@ -13,9 +13,12 @@ namespace ealgap {
 namespace serve {
 
 /// Daemon-level policy. Everything that decides WHAT happens is virtual
-/// (ticks, counts, seeds) so runs replay bit-identically; wall-clock
-/// enters only as the model-attempt latency cap — which, absent injected
-/// delays, a healthy in-process model never reaches.
+/// (ticks, counts, seeds); wall-clock enters only as the model-attempt
+/// latency budget, min(model_deadline_ms, (remaining + 1) * ms_per_tick).
+/// An injected delay or a host stall longer than that budget fires
+/// kDeadline, so runs replay bit-identically only when no model attempt
+/// exceeds its wall-clock budget. Setting both model_deadline_ms and
+/// ms_per_tick to 0 takes wall-clock out of the decisions entirely.
 struct DaemonConfig {
   /// Max requests popped per shard per tick. Backlog beyond this stays
   /// queued (and may expire) — the serve loop's work per tick is bounded

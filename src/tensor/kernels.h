@@ -37,11 +37,9 @@ inline constexpr int64_t kQuantFusedMaxK = 512;
 const char* BackendName(Backend b);
 
 /// All kernels take raw pointers (no alignment requirement) and an element
-/// count; `n == 0` is a no-op. Kernels internally detect 64-byte-aligned
-/// operands and switch to aligned load/store instructions — same bits,
-/// same results (kernels_impl.h, AlignedIO). Reduction kernels define a
-/// fixed accumulation order (4 interleaved double lanes, combined in lane
-/// order) that callers rely on for thread-count determinism.
+/// count; `n == 0` is a no-op. Reduction kernels define a fixed
+/// accumulation order (4 interleaved double lanes, combined in lane order)
+/// that callers rely on for thread-count determinism.
 struct KernelTable {
   Backend backend;
 

@@ -30,37 +30,6 @@ namespace impl {
 
 using vec::VScalar;
 
-// --- aligned-access selection ---
-//
-// Tensor storage and serve buffers are 64-byte aligned (common/
-// aligned_alloc.h), and ops.cc chunks ranges at multiples of large powers
-// of two, so in practice most kernel calls see 64-byte-aligned pointers.
-// Each dispatching wrapper below checks its operand pointers at runtime
-// and, when ALL of them are 64-byte aligned, runs the same skeleton
-// instantiated over AlignedIO<B> — identical arithmetic, aligned
-// load/store instructions. Results are bit-identical by construction:
-// LoadA reads the same bits Load reads; only the instruction encoding
-// (and the fault-on-misalignment contract) differs. The parity tests in
-// vec_test.cc verify this at offsets 0..3 anyway.
-
-inline bool Aligned64(const void* p) {
-  return (reinterpret_cast<std::uintptr_t>(p) & 63u) == 0;
-}
-
-/// Backend adapter: same arithmetic as B, aligned loads/stores (float and
-/// int32/int16-pair accesses alike — the quant kernels below dispatch on
-/// the same provable-alignment rule as the float ones).
-template <class B>
-struct AlignedIO : B {
-  static typename B::V Load(const float* p) { return B::LoadA(p); }
-  static void Store(float* p, typename B::V v) { B::StoreA(p, v); }
-  static typename B::VI ILoad(const int32_t* p) { return B::ILoadA(p); }
-  static void IStore(int32_t* p, typename B::VI v) { B::IStoreA(p, v); }
-  static typename B::VI ILoadPairs(const int16_t* p) {
-    return B::ILoadPairsA(p);
-  }
-};
-
 // --- elementwise op functors (vector and scalar form via backend B) ---
 
 struct OpAdd {
@@ -642,237 +611,50 @@ void CopyK(const float* src, float* dst, int64_t n) {
   std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
 }
 
-// --- aligned-path dispatchers (see AlignedIO above) ---
-//
-// `if constexpr (B::kWidth > 1)` keeps the scalar table free of a useless
-// double instantiation: scalar loads have no alignment requirement.
-
-template <class B, class Op>
-void EwBinaryVVD(const float* a, const float* b, float* o, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(a) && Aligned64(b) && Aligned64(o)) {
-      return EwBinaryVV<AlignedIO<B>, Op>(a, b, o, n);
-    }
-  }
-  EwBinaryVV<B, Op>(a, b, o, n);
-}
-
-template <class B, class Op>
-void EwBinaryVSD(const float* a, float s, float* o, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(a) && Aligned64(o)) {
-      return EwBinaryVS<AlignedIO<B>, Op>(a, s, o, n);
-    }
-  }
-  EwBinaryVS<B, Op>(a, s, o, n);
-}
-
-template <class B, class Op>
-void EwBinarySVD(float s, const float* b, float* o, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(b) && Aligned64(o)) {
-      return EwBinarySV<AlignedIO<B>, Op>(s, b, o, n);
-    }
-  }
-  EwBinarySV<B, Op>(s, b, o, n);
-}
-
-template <class B, class Op>
-void EwUnaryD(const float* a, float* o, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(a) && Aligned64(o)) {
-      return EwUnary<AlignedIO<B>, Op>(a, o, n);
-    }
-  }
-  EwUnary<B, Op>(a, o, n);
-}
-
-template <class B>
-void ClampKD(const float* a, float lo, float hi, float* o, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(a) && Aligned64(o)) {
-      return ClampK<AlignedIO<B>>(a, lo, hi, o, n);
-    }
-  }
-  ClampK<B>(a, lo, hi, o, n);
-}
-
-template <class B>
-void AddIpD(float* a, const float* b, int64_t n) {
-  EwBinaryVVD<B, OpAdd>(a, b, a, n);
-}
-
-template <class B>
-void AxpyIpD(float* a, float alpha, const float* b, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(a) && Aligned64(b)) {
-      return AxpyIp<AlignedIO<B>>(a, alpha, b, n);
-    }
-  }
-  AxpyIp<B>(a, alpha, b, n);
-}
-
-template <class B>
-void ScaleIpD(float* a, float s, int64_t n) {
-  EwBinaryVSD<B, OpMul>(a, s, a, n);
-}
-
-template <class B>
-void ReluIpD(float* a, int64_t n) {
-  EwUnaryD<B, OpRelu>(a, a, n);
-}
-
-template <class B>
-void ClampIpD(float* a, float lo, float hi, int64_t n) {
-  ClampKD<B>(a, lo, hi, a, n);
-}
-
-template <class B>
-void SoftmaxRowD(const float* src, float* dst, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(src) && Aligned64(dst)) {
-      return SoftmaxRow<AlignedIO<B>>(src, dst, n);
-    }
-  }
-  SoftmaxRow<B>(src, dst, n);
-}
-
-template <class B>
-void ExpPdfRowD(const float* x, float lambda, float* o, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(x) && Aligned64(o)) {
-      return ExpPdfRow<AlignedIO<B>>(x, lambda, o, n);
-    }
-  }
-  ExpPdfRow<B>(x, lambda, o, n);
-}
-
-template <class B>
-void NormalPdfRowD(const float* x, float mean, float inv_stddev,
-                   float inv_norm, float* o, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(x) && Aligned64(o)) {
-      return NormalPdfRow<AlignedIO<B>>(x, mean, inv_stddev, inv_norm, o, n);
-    }
-  }
-  NormalPdfRow<B>(x, mean, inv_stddev, inv_norm, o, n);
-}
-
-/// The B-row loads of MatMulRows walk pb/po at offsets p*n + j with j a
-/// multiple of kWidth, so every load is aligned iff the bases are 64-byte
-/// aligned AND a row stride of n floats preserves that (n % 16 == 0, i.e.
-/// 64 bytes). arow is consumed through Set1 broadcasts — no requirement.
-template <class B>
-void MatMulRowsD(const float* pa, const float* pb, float* po, int64_t i0,
-                 int64_t i1, int64_t k, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(pb) && Aligned64(po) && (n & 15) == 0) {
-      return MatMulRows<AlignedIO<B>>(pa, pb, po, i0, i1, k, n);
-    }
-  }
-  MatMulRows<B>(pa, pb, po, i0, i1, k, n);
-}
-
-template <class B>
-void QuantizeRowS8D(const float* x, float inv_scale, int8_t* q, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(x)) {
-      return QuantizeRowS8<AlignedIO<B>>(x, inv_scale, q, n);
-    }
-  }
-  QuantizeRowS8<B>(x, inv_scale, q, n);
-}
-
-/// The vector accesses of QuantGemmRows walk acc at j multiples of kWidth
-/// (4j bytes) with a row stride of 4n bytes, and wpack at 4j bytes with a
-/// pair-row stride of 4n bytes — so all of them stay aligned iff both
-/// bases are 64-byte aligned and n % 16 == 0 (the same rule as
-/// MatMulRowsD). aq is consumed through ISet1 broadcasts — no requirement.
-template <class B>
-void QuantGemmRowsD(const int8_t* aq, const int16_t* wpack, int32_t* acc,
-                    int64_t i0, int64_t i1, int64_t k, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(wpack) && Aligned64(acc) && (n & 15) == 0) {
-      return QuantGemmRows<AlignedIO<B>>(aq, wpack, acc, i0, i1, k, n);
-    }
-  }
-  QuantGemmRows<B>(aq, wpack, acc, i0, i1, k, n);
-}
-
-/// Same walk as QuantGemmRowsD for wpack and o (strided at 2j/4j bytes,
-/// row strides 4n bytes) plus the packed per-column vectors — aligned
-/// iff every base is 64-byte aligned and n % 16 == 0.
-template <class B>
-void QuantGemmDequantRowsD(const int8_t* aq, const int16_t* wpack,
-                           float a_scale, const float* w_scale,
-                           const float* bias, float* o, int64_t i0,
-                           int64_t i1, int64_t k, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(wpack) && Aligned64(w_scale) && Aligned64(o) &&
-        (bias == nullptr || Aligned64(bias)) && (n & 15) == 0) {
-      return QuantGemmDequantRows<AlignedIO<B>>(aq, wpack, a_scale, w_scale,
-                                                bias, o, i0, i1, k, n);
-    }
-  }
-  QuantGemmDequantRows<B>(aq, wpack, a_scale, w_scale, bias, o, i0, i1, k, n);
-}
-
-template <class B>
-void DequantBiasRowD(const int32_t* acc, float a_scale, const float* w_scale,
-                     const float* bias, float* o, int64_t n) {
-  if constexpr (B::kWidth > 1) {
-    if (Aligned64(acc) && Aligned64(w_scale) && Aligned64(o) &&
-        (bias == nullptr || Aligned64(bias))) {
-      return DequantBiasRow<AlignedIO<B>>(acc, a_scale, w_scale, bias, o, n);
-    }
-  }
-  DequantBiasRow<B>(acc, a_scale, w_scale, bias, o, n);
-}
-
 template <class B>
 KernelTable MakeTable(Backend backend) {
   KernelTable t;
   t.backend = backend;
-  t.add_vv = &EwBinaryVVD<B, OpAdd>;
-  t.sub_vv = &EwBinaryVVD<B, OpSub>;
-  t.mul_vv = &EwBinaryVVD<B, OpMul>;
-  t.div_vv = &EwBinaryVVD<B, OpDiv>;
-  t.max_vv = &EwBinaryVVD<B, OpMax>;
-  t.add_vs = &EwBinaryVSD<B, OpAdd>;
-  t.sub_vs = &EwBinaryVSD<B, OpSub>;
-  t.sub_sv = &EwBinarySVD<B, OpSub>;
-  t.mul_vs = &EwBinaryVSD<B, OpMul>;
-  t.div_vs = &EwBinaryVSD<B, OpDiv>;
-  t.div_sv = &EwBinarySVD<B, OpDiv>;
-  t.max_vs = &EwBinaryVSD<B, OpMax>;
-  t.max_sv = &EwBinarySVD<B, OpMax>;
-  t.neg = &EwUnaryD<B, OpNeg>;
-  t.abs = &EwUnaryD<B, OpAbs>;
-  t.sign = &EwUnaryD<B, OpSign>;
-  t.sqrt = &EwUnaryD<B, OpSqrt>;
-  t.relu = &EwUnaryD<B, OpRelu>;
-  t.clamp = &ClampKD<B>;
-  t.exp = &EwUnaryD<B, OpExp>;
-  t.tanh = &EwUnaryD<B, OpTanh>;
-  t.sigmoid = &EwUnaryD<B, OpSigmoid>;
-  t.add_ip = &AddIpD<B>;
-  t.axpy_ip = &AxpyIpD<B>;
-  t.scale_ip = &ScaleIpD<B>;
-  t.relu_ip = &ReluIpD<B>;
-  t.clamp_ip = &ClampIpD<B>;
+  t.add_vv = &EwBinaryVV<B, OpAdd>;
+  t.sub_vv = &EwBinaryVV<B, OpSub>;
+  t.mul_vv = &EwBinaryVV<B, OpMul>;
+  t.div_vv = &EwBinaryVV<B, OpDiv>;
+  t.max_vv = &EwBinaryVV<B, OpMax>;
+  t.add_vs = &EwBinaryVS<B, OpAdd>;
+  t.sub_vs = &EwBinaryVS<B, OpSub>;
+  t.sub_sv = &EwBinarySV<B, OpSub>;
+  t.mul_vs = &EwBinaryVS<B, OpMul>;
+  t.div_vs = &EwBinaryVS<B, OpDiv>;
+  t.div_sv = &EwBinarySV<B, OpDiv>;
+  t.max_vs = &EwBinaryVS<B, OpMax>;
+  t.max_sv = &EwBinarySV<B, OpMax>;
+  t.neg = &EwUnary<B, OpNeg>;
+  t.abs = &EwUnary<B, OpAbs>;
+  t.sign = &EwUnary<B, OpSign>;
+  t.sqrt = &EwUnary<B, OpSqrt>;
+  t.relu = &EwUnary<B, OpRelu>;
+  t.clamp = &ClampK<B>;
+  t.exp = &EwUnary<B, OpExp>;
+  t.tanh = &EwUnary<B, OpTanh>;
+  t.sigmoid = &EwUnary<B, OpSigmoid>;
+  t.add_ip = &AddIp<B>;
+  t.axpy_ip = &AxpyIp<B>;
+  t.scale_ip = &ScaleIp<B>;
+  t.relu_ip = &ReluIp<B>;
+  t.clamp_ip = &ClampIp<B>;
   t.sum_block = &SumBlock<B>;
   t.sumsq_block = &SumSqBlock<B>;
   t.max_block = &MaxBlock<B>;
-  t.softmax_row = &SoftmaxRowD<B>;
-  t.exp_pdf_row = &ExpPdfRowD<B>;
-  t.normal_pdf_row = &NormalPdfRowD<B>;
+  t.softmax_row = &SoftmaxRow<B>;
+  t.exp_pdf_row = &ExpPdfRow<B>;
+  t.normal_pdf_row = &NormalPdfRow<B>;
   t.copy = &CopyK<B>;
-  t.matmul_rows = &MatMulRowsD<B>;
+  t.matmul_rows = &MatMulRows<B>;
   t.absmax_block = &AbsMaxBlock<B>;
-  t.quantize_s8 = &QuantizeRowS8D<B>;
-  t.quant_gemm_rows = &QuantGemmRowsD<B>;
-  t.quant_gemm_dequant_rows = &QuantGemmDequantRowsD<B>;
-  t.dequant_bias_row = &DequantBiasRowD<B>;
+  t.quantize_s8 = &QuantizeRowS8<B>;
+  t.quant_gemm_rows = &QuantGemmRows<B>;
+  t.quant_gemm_dequant_rows = &QuantGemmDequantRows<B>;
+  t.dequant_bias_row = &DequantBiasRow<B>;
   return t;
 }
 

@@ -115,11 +115,11 @@ Shape BroadcastShape(const Shape& a, const Shape& b);
 /// contiguous tensors; Reshape shares storage, Slice copies.
 ///
 /// Storage is a single intrusive refcounted block whose float payload is
-/// 64-byte aligned (common/aligned_alloc.h), so kernels can take the
-/// aligned-load path on whole-tensor operations. When a thread has an
-/// ArenaScope active (the serve step), storage comes from the arena and is
-/// reclaimed wholesale by the scope's rewind; such tensors must not
-/// outlive the scope.
+/// 64-byte aligned (common/aligned_alloc.h), so a tensor's first vector
+/// never straddles a cache line. When a thread has an ArenaScope active
+/// (the serve step), storage comes from the arena and is reclaimed
+/// wholesale by the scope's rewind; such tensors must not outlive the
+/// scope.
 class Tensor {
  public:
   /// An empty (undefined) tensor; defined() is false.

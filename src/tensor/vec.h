@@ -51,10 +51,6 @@ struct VScalar {
 
   static V Load(const float* p) { return *p; }
   static void Store(float* p, V v) { *p = v; }
-  /// Aligned variants: identical semantics (a scalar load has no alignment
-  /// requirement); kept so kernels can template over the access mode.
-  static V LoadA(const float* p) { return *p; }
-  static void StoreA(float* p, V v) { *p = v; }
   static V Set1(float v) { return v; }
 
   static V Add(V a, V b) { return a + b; }
@@ -114,9 +110,7 @@ struct VScalar {
   static VI IZero() { return 0; }
   static VI ISet1(int32_t v) { return v; }
   static VI ILoad(const int32_t* p) { return *p; }
-  static VI ILoadA(const int32_t* p) { return *p; }
   static void IStore(int32_t* p, VI v) { *p = v; }
-  static void IStoreA(int32_t* p, VI v) { *p = v; }
   /// kWidth packed (lo, hi) int16 pairs, i.e. 2*kWidth int16 values.
   static VI ILoadPairs(const int16_t* p) {
     return static_cast<int32_t>(static_cast<uint16_t>(p[0]) |
@@ -124,7 +118,6 @@ struct VScalar {
                                      static_cast<uint16_t>(p[1]))
                                  << 16));
   }
-  static VI ILoadPairsA(const int16_t* p) { return ILoadPairs(p); }
   /// acc + a.lo*b.lo + a.hi*b.hi per lane (PMADDWD then PADDD). The two
   /// int16 products and their sum are exact in int32; callers bound k so
   /// the running accumulator cannot overflow (nn/quant.cc).
@@ -178,11 +171,6 @@ struct VSse2 {
 
   static V Load(const float* p) { return _mm_loadu_ps(p); }
   static void Store(float* p, V v) { _mm_storeu_ps(p, v); }
-  /// Aligned load/store (MOVAPS): p must be 16-byte aligned. Loads the
-  /// same bits as Load — callers switch on provable alignment only, so
-  /// results are identical by construction.
-  static V LoadA(const float* p) { return _mm_load_ps(p); }
-  static void StoreA(float* p, V v) { _mm_store_ps(p, v); }
   static V Set1(float v) { return _mm_set1_ps(v); }
 
   static V Add(V a, V b) { return _mm_add_ps(a, b); }
@@ -222,20 +210,11 @@ struct VSse2 {
   static VI ILoad(const int32_t* p) {
     return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
   }
-  static VI ILoadA(const int32_t* p) {
-    return _mm_load_si128(reinterpret_cast<const __m128i*>(p));
-  }
   static void IStore(int32_t* p, VI v) {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
   }
-  static void IStoreA(int32_t* p, VI v) {
-    _mm_store_si128(reinterpret_cast<__m128i*>(p), v);
-  }
   static VI ILoadPairs(const int16_t* p) {
     return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  }
-  static VI ILoadPairsA(const int16_t* p) {
-    return _mm_load_si128(reinterpret_cast<const __m128i*>(p));
   }
   static VI MAddPairsAcc(VI acc, VI a, VI b) {
     return _mm_add_epi32(acc, _mm_madd_epi16(a, b));
@@ -284,10 +263,6 @@ struct VAvx2 {
 
   static V Load(const float* p) { return _mm256_loadu_ps(p); }
   static void Store(float* p, V v) { _mm256_storeu_ps(p, v); }
-  /// Aligned load/store (VMOVAPS): p must be 32-byte aligned. Same bits as
-  /// Load; selected only when alignment is provable.
-  static V LoadA(const float* p) { return _mm256_load_ps(p); }
-  static void StoreA(float* p, V v) { _mm256_store_ps(p, v); }
   static V Set1(float v) { return _mm256_set1_ps(v); }
 
   static V Add(V a, V b) { return _mm256_add_ps(a, b); }
@@ -323,20 +298,11 @@ struct VAvx2 {
   static VI ILoad(const int32_t* p) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
   }
-  static VI ILoadA(const int32_t* p) {
-    return _mm256_load_si256(reinterpret_cast<const __m256i*>(p));
-  }
   static void IStore(int32_t* p, VI v) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
   }
-  static void IStoreA(int32_t* p, VI v) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(p), v);
-  }
   static VI ILoadPairs(const int16_t* p) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  static VI ILoadPairsA(const int16_t* p) {
-    return _mm256_load_si256(reinterpret_cast<const __m256i*>(p));
   }
   static VI MAddPairsAcc(VI acc, VI a, VI b) {
     return _mm256_add_epi32(acc, _mm256_madd_epi16(a, b));

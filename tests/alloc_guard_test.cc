@@ -145,6 +145,13 @@ TEST(AlignedBufferTest, ZeroInitializedAndAligned) {
   EXPECT_TRUE(IsAligned(buf.data()));
 }
 
+// The block header's magic is what AlignedFree checks before releasing:
+// a pointer whose preceding kCacheAlign bytes hold no magic aborts.
+TEST(AlignedBufferTest, FreeOfForeignPointerAborts) {
+  std::vector<char> foreign(2 * kCacheAlign, 0);
+  EXPECT_DEATH(AlignedFree(foreign.data() + kCacheAlign), "foreign pointer");
+}
+
 // --- counting hook sanity ----------------------------------------------------
 
 TEST(AllocCountTest, HookObservesThisThreadsAllocations) {

@@ -262,6 +262,22 @@ std::unique_ptr<serve::Daemon> MakeFleet(const FleetOptions& opt) {
   return daemon;
 }
 
+/// Fleet options for tests that compare or pin replay digests. The digest
+/// records each answer's DegradeCause, and kDeadline comes from a
+/// steady_clock measurement against min(model_deadline_ms, (remaining + 1)
+/// * ms_per_tick) — so a host stall longer than that budget changes the
+/// digest. Both wall-clock inputs are zeroed (zeroing ms_per_tick alone
+/// would also switch the cap off, by accident of the min); the virtual
+/// deadline_ticks expiry stays on. The wall-clock path keeps its own tests
+/// (InjectedModelDelayDegradesWithDeadlineCause,
+/// FaultArmedSoakNeverLosesARequest).
+FleetOptions VirtualTimeFleet() {
+  FleetOptions opt;
+  opt.daemon.model_deadline_ms = 0.0;
+  opt.daemon.ms_per_tick = 0.0;
+  return opt;
+}
+
 serve::SloReport RunLoad(serve::Daemon* daemon, int64_t ticks,
                          double steady_rate = 3.0, double burst_rate = 3.0,
                          uint64_t seed = 17) {
@@ -309,7 +325,7 @@ TEST(DaemonTest, NoFaultReplayIsBitIdenticalAcrossRunsAndThreadCounts) {
   const int threads[3] = {1, 4, 4};
   for (int i = 0; i < 3; ++i) {
     ScopedThreads scoped(threads[i]);
-    FleetOptions opt;
+    FleetOptions opt = VirtualTimeFleet();
     opt.shards = 3;
     auto daemon = MakeFleet(opt);
     const serve::SloReport report = RunLoad(daemon.get(), 120, 3.0, 20.0);
@@ -347,7 +363,7 @@ TEST(DaemonTest, OverloadShedsInsteadOfGrowing) {
 }
 
 TEST(DaemonTest, QueueFullFaultShedsDeterministically) {
-  FleetOptions opt;
+  FleetOptions opt = VirtualTimeFleet();
   opt.shards = 2;
   auto daemon_a = MakeFleet(opt);
   auto daemon_b = MakeFleet(opt);
@@ -506,7 +522,7 @@ TEST(DaemonTest, VirtualTimeFaultReplayIsBitIdentical) {
   const char* kSpec =
       "daemon.queue.full:p=0.05:seed=5,daemon.shard.crash:p=0.02:seed=9,"
       "daemon.shard.stall:p=0.05:seed=13";
-  FleetOptions opt;
+  FleetOptions opt = VirtualTimeFleet();
   opt.shards = 3;
   uint32_t digests[2];
   const int threads[2] = {1, 4};
@@ -579,7 +595,7 @@ void ExpectPinnedDigest(const std::string& name, uint32_t digest) {
 
 struct PinnedFleet {
   std::string name;
-  FleetOptions fleet;
+  FleetOptions fleet = VirtualTimeFleet();
   /// Virtual-time fault sites only: their decisions are drawn on the
   /// supervisor thread, so the digest stays independent of the pool size.
   std::string faults;
@@ -716,7 +732,7 @@ void ExpectParamsBitIdentical(const std::map<std::string, Tensor>& a,
 // bit-identically across repeats and thread counts.
 TEST(DaemonAdaptTest, AdaptOnReplayIsBitIdenticalAcrossRunsAndThreadCounts) {
   fault::ScopedFaults off("");
-  FleetOptions opt;
+  FleetOptions opt = VirtualTimeFleet();
   opt.shards = 2;
   opt.adapt = true;
   opt.aopt = HotAdaptOptions();

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/aligned_alloc.h"
 #include "nn/quant.h"
 #include "tensor/kernels.h"
 #include "tensor/vec.h"
@@ -379,128 +378,6 @@ TEST(QuantKernels, QuantGemmDequantRowsPartialRowRange) {
         } else {
           ASSERT_EQ(Bits(want[i * n + j]), Bits(o[i * n + j]))
               << nt.name << " row " << i << " col " << j;
-        }
-      }
-    }
-  }
-}
-
-// --- aligned dispatch --------------------------------------------------
-
-// The dispatchers switch to aligned load/store variants when base pointers
-// are 64-byte aligned (and, for the gemm, n % 16 == 0). Both paths must
-// produce identical bits.
-TEST(QuantKernels, AlignedVsUnalignedDispatchBitIdentical) {
-  std::vector<NamedTable> tables = AltTables();
-  tables.push_back({"scalar", &Scalar()});
-  for (const NamedTable& nt : tables) {
-    const KernelTable& t = *nt.t;
-    // quantize_s8: aligned input vs misaligned copy.
-    for (int64_t n = 1; n <= kMaxLen; ++n) {
-      AlignedBuffer<float> x_al(n);
-      for (int64_t i = 0; i < n; ++i) x_al[i] = TestValue(i + 131);
-      ASSERT_TRUE(IsAligned(x_al.data()));
-      std::vector<int8_t> q_al(n, 99);
-      t.quantize_s8(x_al.data(), 0.73f, q_al.data(), n);
-      for (int64_t off = 1; off <= kMaxOff; ++off) {
-        std::vector<float> x(off + n);
-        std::copy(x_al.begin(), x_al.end(), x.begin() + off);
-        ASSERT_FALSE(IsAligned(x.data() + off));
-        std::vector<int8_t> q(off + n, 99);
-        t.quantize_s8(x.data() + off, 0.73f, q.data() + off, n);
-        for (int64_t i = 0; i < n; ++i) {
-          ASSERT_EQ(q_al[i], q[off + i])
-              << "quantize_s8 [" << nt.name << "] aligned vs off=" << off
-              << " n=" << n << " elem " << i;
-        }
-      }
-    }
-    // quant_gemm_rows: aligned pack+acc with n % 16 == 0 takes the aligned
-    // path; a misaligned pack copy must match bitwise (and an n not a
-    // multiple of 16 exercises the unaligned path on aligned buffers).
-    for (int64_t n : {16, 48, 17}) {
-      const int64_t m = 3, k = 7;
-      const int64_t pairs = (k + 1) / 2;
-      std::vector<int8_t> aq(m * k);
-      for (int64_t i = 0; i < m * k; ++i) aq[i] = TestQ8(i + 41);
-      std::vector<int16_t> pack_v;
-      FillPack(&pack_v, k, n, 43);
-      AlignedBuffer<int16_t> pack_al(pairs * 2 * n);
-      std::copy(pack_v.begin(), pack_v.end(), pack_al.begin());
-      AlignedBuffer<int32_t> acc_al(m * n);
-      t.quant_gemm_rows(aq.data(), pack_al.data(), acc_al.data(), 0, m, k, n);
-      std::vector<int16_t> pack_un(1 + pairs * 2 * n);
-      std::copy(pack_v.begin(), pack_v.end(), pack_un.begin() + 1);
-      std::vector<int32_t> acc_un(m * n, -777);
-      t.quant_gemm_rows(aq.data(), pack_un.data() + 1, acc_un.data(), 0, m, k,
-                        n);
-      for (int64_t i = 0; i < m * n; ++i) {
-        ASSERT_EQ(acc_al[i], acc_un[i])
-            << "quant_gemm_rows [" << nt.name << "] n=" << n << " elem " << i;
-      }
-    }
-    // quant_gemm_dequant_rows: fully aligned pack/w_scale/bias/o with
-    // n % 16 == 0 takes the aligned path; misaligned views of the same
-    // data must match bitwise (n = 17 exercises the unaligned path on
-    // aligned buffers).
-    for (int64_t n : {16, 48, 17}) {
-      const int64_t m = 3, k = 7;
-      const int64_t pairs = (k + 1) / 2;
-      std::vector<int8_t> aq(m * k);
-      for (int64_t i = 0; i < m * k; ++i) aq[i] = TestQ8(i + 53);
-      std::vector<int16_t> pack_v;
-      FillPack(&pack_v, k, n, 59);
-      AlignedBuffer<int16_t> pack_al(pairs * 2 * n);
-      std::copy(pack_v.begin(), pack_v.end(), pack_al.begin());
-      AlignedBuffer<float> ws_al(n), b_al(n), o_al(m * n);
-      for (int64_t j = 0; j < n; ++j) {
-        ws_al[j] = std::fabs(TestValue(j + 61)) + 1e-3f;
-        b_al[j] = TestValue(j + 67);
-      }
-      for (bool with_bias : {true, false}) {
-        const float* bal = with_bias ? b_al.data() : nullptr;
-        std::fill(o_al.begin(), o_al.end(), -777.f);
-        t.quant_gemm_dequant_rows(aq.data(), pack_al.data(), 0.013f,
-                                  ws_al.data(), bal, o_al.data(), 0, m, k, n);
-        std::vector<int16_t> pack_un(1 + pairs * 2 * n);
-        std::copy(pack_v.begin(), pack_v.end(), pack_un.begin() + 1);
-        std::vector<float> ws_un(1 + n), b_un(1 + n), o_un(1 + m * n, -777.f);
-        std::copy(ws_al.begin(), ws_al.end(), ws_un.begin() + 1);
-        std::copy(b_al.begin(), b_al.end(), b_un.begin() + 1);
-        const float* bun = with_bias ? b_un.data() + 1 : nullptr;
-        t.quant_gemm_dequant_rows(aq.data(), pack_un.data() + 1, 0.013f,
-                                  ws_un.data() + 1, bun, o_un.data() + 1, 0,
-                                  m, k, n);
-        for (int64_t i = 0; i < m * n; ++i) {
-          ASSERT_EQ(Bits(o_al[i]), Bits(o_un[1 + i]))
-              << "quant_gemm_dequant_rows [" << nt.name << "] bias="
-              << with_bias << " n=" << n << " elem " << i;
-        }
-      }
-    }
-    // dequant_bias_row: fully aligned operands vs misaligned views.
-    for (int64_t n = 1; n <= kMaxLen; ++n) {
-      AlignedBuffer<int32_t> acc_al(n);
-      AlignedBuffer<float> ws_al(n), b_al(n), o_al(n);
-      for (int64_t i = 0; i < n; ++i) {
-        acc_al[i] = static_cast<int32_t>(TestQ8(i + 3) * 321);
-        ws_al[i] = std::fabs(TestValue(i + 7)) + 1e-3f;
-        b_al[i] = TestValue(i + 19);
-      }
-      t.dequant_bias_row(acc_al.data(), 0.011f, ws_al.data(), b_al.data(),
-                         o_al.data(), n);
-      for (int64_t off = 1; off <= kMaxOff; ++off) {
-        std::vector<int32_t> acc(off + n);
-        std::vector<float> ws(off + n), b(off + n), o(off + n, -777.f);
-        std::copy(acc_al.begin(), acc_al.end(), acc.begin() + off);
-        std::copy(ws_al.begin(), ws_al.end(), ws.begin() + off);
-        std::copy(b_al.begin(), b_al.end(), b.begin() + off);
-        t.dequant_bias_row(acc.data() + off, 0.011f, ws.data() + off,
-                           b.data() + off, o.data() + off, n);
-        for (int64_t i = 0; i < n; ++i) {
-          ASSERT_EQ(Bits(o_al[i]), Bits(o[off + i]))
-              << "dequant_bias_row [" << nt.name << "] aligned vs off=" << off
-              << " n=" << n << " elem " << i;
         }
       }
     }

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/aligned_alloc.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -248,80 +247,6 @@ TEST(VecParity, MatMulRows) {
                 << " n=" << n << " elem " << i;
           }
         }
-      }
-    }
-  }
-}
-
-// Aligned-dispatch parity: kernels silently switch to aligned load/store
-// instructions when operand base pointers are 64-byte aligned
-// (kernels_impl.h, AlignedIO). Both paths must produce identical bits:
-// run each kernel from 64-byte-aligned buffers (the aligned path) and
-// from views misaligned by 1..3 floats (the unaligned path), same values.
-TEST(VecParity, AlignedVsUnalignedDispatchBitIdentical) {
-  std::vector<NamedTable> tables = AltTables();
-  tables.push_back({"scalar", &Scalar()});
-  for (const NamedTable& nt : tables) {
-    const KernelTable& t = *nt.t;
-    for (int64_t n = 1; n <= kMaxLen; ++n) {
-      AlignedBuffer<float> a_al(n), b_al(n), o_al(n);
-      for (int64_t i = 0; i < n; ++i) {
-        a_al[i] = TestValue(i + 97);
-        b_al[i] = TestValue(i + 194);
-      }
-      ASSERT_TRUE(IsAligned(a_al.data()) && IsAligned(b_al.data()) &&
-                  IsAligned(o_al.data()));
-      auto run_pair = [&](const char* what, auto&& call) {
-        std::fill(o_al.begin(), o_al.end(), -777.f);
-        call(a_al.data(), b_al.data(), o_al.data());
-        for (int64_t off = 1; off <= kMaxOff; ++off) {
-          std::vector<float> a(off + n), b(off + n), o(off + n, -777.f);
-          std::copy(a_al.begin(), a_al.end(), a.begin() + off);
-          std::copy(b_al.begin(), b_al.end(), b.begin() + off);
-          ASSERT_FALSE(IsAligned(a.data() + off));
-          call(a.data() + off, b.data() + off, o.data() + off);
-          for (int64_t i = 0; i < n; ++i) {
-            ASSERT_EQ(Bits(o_al[i]), Bits(o[off + i]))
-                << what << " [" << nt.name << "] aligned vs offset " << off
-                << " elem " << i << " of " << n;
-          }
-        }
-      };
-      run_pair("add_vv", [&](const float* a, const float* b, float* o) {
-        t.add_vv(a, b, o, n);
-      });
-      run_pair("mul_vv", [&](const float* a, const float* b, float* o) {
-        t.mul_vv(a, b, o, n);
-      });
-      run_pair("relu", [&](const float* a, const float*, float* o) {
-        t.relu(a, o, n);
-      });
-      run_pair("exp", [&](const float* a, const float*, float* o) {
-        t.exp(a, o, n);
-      });
-      run_pair("sigmoid", [&](const float* a, const float*, float* o) {
-        t.sigmoid(a, o, n);
-      });
-      run_pair("copy", [&](const float* a, const float*, float* o) {
-        t.copy(a, o, n);
-      });
-    }
-    // matmul_rows takes its aligned fast path only when b and o are
-    // 64-byte aligned AND n is a multiple of 16 — check both n shapes.
-    for (int64_t n : {16, 32, 48, 7, 17}) {
-      const int64_t m = 3, k = 5;
-      AlignedBuffer<float> a_al(m * k), b_al(k * n), o_al(m * n);
-      for (int64_t i = 0; i < m * k; ++i) a_al[i] = TestValue(i + 11);
-      for (int64_t i = 0; i < k * n; ++i) b_al[i] = TestValue(i + 13);
-      t.matmul_rows(a_al.data(), b_al.data(), o_al.data(), 0, m, k, n);
-      // matmul_rows accumulates onto the output row: both runs start at 0
-      // (o_al is zero-initialized by AlignedBuffer).
-      std::vector<float> b_un(1 + k * n), o_un(m * n, 0.f);
-      std::copy(b_al.begin(), b_al.end(), b_un.begin() + 1);
-      t.matmul_rows(a_al.data(), b_un.data() + 1, o_un.data(), 0, m, k, n);
-      for (int64_t i = 0; i < m * n; ++i) {
-        ASSERT_EQ(Bits(o_al[i]), Bits(o_un[i]))
-            << "matmul_rows [" << nt.name << "] n=" << n << " elem " << i;
       }
     }
   }
