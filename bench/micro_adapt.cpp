@@ -142,7 +142,7 @@ void BM_ServeAdaptTrackedStepRegions(benchmark::State& state) {
   serve::AdaptOptions aopt;
   aopt.cusum_h = 1e18;  // track, never adapt
   auto adaptive =
-      serve::AdaptivePredictor::Create(f.model.get(), nullptr, aopt).value();
+      serve::AdaptivePredictor::Create(f.model.get(), aopt).value();
   auto predictor = serve::OnlinePredictor::Create(adaptive.get(), f.dataset,
                                                   f.split.test_begin)
                        .value();
@@ -187,7 +187,7 @@ void BM_AdaptMicroFitAttempt(benchmark::State& state) {
   aopt.cooldown = 0;
   aopt.freeze_after = 1000000000;  // never freeze: price every attempt
   auto adaptive =
-      serve::AdaptivePredictor::Create(f.model.get(), nullptr, aopt).value();
+      serve::AdaptivePredictor::Create(f.model.get(), aopt).value();
   auto predictor = serve::OnlinePredictor::Create(adaptive.get(), f.dataset,
                                                   f.split.test_begin)
                        .value();
@@ -229,7 +229,7 @@ BENCHMARK(BM_AdaptMicroFitAttempt)->Arg(20);
 void BM_AdaptStateRoundTrip(benchmark::State& state) {
   Fixture& f = GetScaleFixture(1000);
   auto adaptive =
-      serve::AdaptivePredictor::Create(f.model.get(), nullptr).value();
+      serve::AdaptivePredictor::Create(f.model.get()).value();
   auto predictor = serve::OnlinePredictor::Create(adaptive.get(), f.dataset,
                                                   f.split.test_begin)
                        .value();

@@ -1,6 +1,7 @@
-// CLI for running any subset of schemes on any (city, period) pair:
+// CLI for running any subset of schemes on any (city, period) pair, e.g.
+// (one command line):
 //
-//   ./build/examples/compare_baselines --city nyc_bike --period weather \
+//   ./build/examples/compare_baselines --city nyc_bike --period weather
 //       --schemes HA,GRU,EALGAP --epochs 15
 
 #include <iostream>

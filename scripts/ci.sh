@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: build, run the full test suite, rehearse an interrupted
 # experiment sweep (crash + resume must reproduce the clean run byte for
-# byte), chaos-soak the serving daemon with faults armed (plain, quantized,
-# and adaptive), TSan the concurrent serving paths, ASan the
-# checkpoint/resume parsers, and UBSan the adaptation arithmetic.
+# byte), chaos-soak the serving daemon with faults armed (plain and
+# adaptive), TSan the concurrent serving paths, ASan the checkpoint/resume
+# parsers, and UBSan the adaptation arithmetic.
 #
 # Usage: scripts/ci.sh
 #   BUILD_DIR=<dir>       main build directory   (default: build)
@@ -22,7 +22,8 @@ BUILD_DIR="${BUILD_DIR:-build}"
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
 
 echo "===== tier-1: build + full test suite (scalar + native SIMD) ====="
-cmake -B "$BUILD_DIR" -S . -G Ninja
+# -Werror: the tree builds warning-free, and this keeps it that way.
+cmake -B "$BUILD_DIR" -S . -G Ninja -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j
 # The whole suite runs twice: once pinned to the scalar kernel table, once
 # on the widest ISA the host supports. The golden/determinism tests compare
@@ -40,18 +41,6 @@ echo "===== fault stage: serve tests with injection armed ====="
 # EnvVarArmsTheHarness test stops being skipped).
 EALGAP_FAULTS="nn.predict.nan:every=7,io.write.fail:p=0.5:seed=5" \
   "./$BUILD_DIR/tests/fault_injection_test"
-
-echo "===== quant stage: int8 parity suite on every SIMD backend ====="
-# The int8 serve path's core promise is bit-identical predictions across
-# kernel backends; tier-1 already ran the suite under scalar and native
-# dispatch, this pins each backend explicitly (the in-process cross-backend
-# tests re-run under each pin, so an sse2-vs-avx2 divergence cannot hide
-# behind the host's widest ISA).
-for simd in scalar sse2 avx2; do
-  echo "----- quant parity: EALGAP_SIMD=$simd -----"
-  EALGAP_SIMD="$simd" "./$BUILD_DIR/tests/quant_kernel_test"
-  EALGAP_SIMD="$simd" "./$BUILD_DIR/tests/quant_parity_test"
-done
 
 echo "===== interrupt-resume stage: crash a sweep, resume it, diff vs clean ====="
 # Leg 1 — journal resume. A tiny sweep with io.write.fail armed so the
@@ -118,17 +107,6 @@ EALGAP_FAULTS="daemon.queue.full:p=0.05:seed=11,daemon.shard.crash:p=0.01:seed=1
   --state-dir "$RESUME_TMP/daemon_state" | tail -n 2
 echo "daemon soak: fault-armed run exited clean with full attribution"
 
-# The same soak serving through the int8 path, with nn.quant.drift armed on
-# top: a forced drift trip mid-soak must degrade that shard's wrapper to
-# float serving (sticky, attributed in the drift-guard table) while the
-# fleet keeps full request attribution — and crashed shards must come back
-# quantized (every restart builds a fresh int8 wrapper around the reloaded
-# checkpoint).
-EALGAP_FAULTS="daemon.queue.full:p=0.05:seed=11,daemon.shard.crash:p=0.01:seed=13,nn.quant.drift:every=97:max=2" \
-  "$TOOL" daemon --shards 3 --ticks 200 --days 40 --epochs 0 --quant \
-  --state-dir "$RESUME_TMP/daemon_state_quant" | tail -n 3
-echo "daemon soak: quantized fault-armed run exited clean with full attribution"
-
 # The adaptation soak: test-time adaptation on, with every serve.adapt.*
 # failure site armed (poisoned validation loss, forced rejection, micro-fit
 # infra failure, attempt stall) plus shard crashes — so attempts roll back,
@@ -143,18 +121,27 @@ EALGAP_FAULTS="serve.adapt.nan:every=3,serve.adapt.reject:every=4,serve.adapt.er
   --state-dir "$RESUME_TMP/daemon_state_adapt" | tail -n 4
 echo "daemon soak: adaptive fault-armed run exited clean with full attribution"
 
-# The same adaptive soak over int8, WITHOUT --state-dir: every crash is a
-# cold restart, which must rebuild the shard's wrappers around its
-# in-memory model through the same builder as a checkpoint restart, and
-# must count each incarnation's adaptation exactly once. The tool exits 3
-# if any request or attempt goes unattributed or if adaptation observed
-# more steps than the fleet applied, so exit 0 IS the attribution
-# assertion.
+# The same adaptive soak WITHOUT --state-dir: every crash is a cold
+# restart, which must rebuild the shard's wrapper around its in-memory
+# model through the same builder as a checkpoint restart, and must count
+# each incarnation's adaptation exactly once. The tool exits 3 if any
+# request or attempt goes unattributed or if adaptation observed more
+# steps than the fleet applied, so exit 0 IS the attribution assertion.
 EALGAP_FAULTS="daemon.queue.full:p=0.05:seed=11,daemon.shard.crash:every=83,serve.adapt.nan:every=3,serve.adapt.reject:every=4" \
-  "$TOOL" daemon --shards 2 --ticks 200 --days 40 --epochs 0 --adapt --quant \
+  "$TOOL" daemon --shards 2 --ticks 200 --days 40 --epochs 0 --adapt \
   --adapt-cusum-h 4 --adapt-window 32 --adapt-min-window 12 \
   --adapt-holdout 4 --adapt-cooldown 8 | tail -n 4
-echo "daemon soak: cold-restart adaptive int8 run exited clean with full attribution"
+echo "daemon soak: cold-restart adaptive run exited clean with full attribution"
+
+# A flag its subcommand does not read must fail, naming the flag, before
+# any work starts: a retired int8-serving flag would otherwise run with
+# defaults and quietly serve the float model.
+if "$TOOL" serve --quant 2> "$RESUME_TMP/unknown_flag.err"; then
+  echo "FAIL: serve accepted a flag it does not read" >&2
+  exit 1
+fi
+grep -q "serve does not take --" "$RESUME_TMP/unknown_flag.err"
+echo "unknown flags: rejected by name"
 
 echo "===== alloc-free stage: zero-allocation serve contract ====="
 # The counting run: alloc_guard_test links a malloc-family interposition
@@ -211,9 +198,8 @@ echo "===== UBSan: adaptation + serving arithmetic paths ====="
 UBSAN_BUILD_DIR="${UBSAN_BUILD_DIR:-build-ubsan}"
 cmake -B "$UBSAN_BUILD_DIR" -S . -G Ninja -DEALGAP_SANITIZE=undefined
 cmake --build "$UBSAN_BUILD_DIR" -j --target \
-  daemon_test robustness_test fault_injection_test quant_parity_test
-for t in daemon_test robustness_test fault_injection_test \
-         quant_parity_test; do
+  daemon_test robustness_test fault_injection_test
+for t in daemon_test robustness_test fault_injection_test; do
   echo "----- UBSan: $t -----"
   "./$UBSAN_BUILD_DIR/tests/$t"
 done
@@ -227,7 +213,6 @@ if [[ "${EALGAP_CI_BENCH:-0}" == "1" ]]; then
   for pair in "micro_tensor_ops:BENCH_tensor_ops.json" \
               "micro_serve:BENCH_serve.json" \
               "micro_daemon:BENCH_daemon.json" \
-              "micro_quant:BENCH_quant.json" \
               "micro_adapt:BENCH_adapt.json"; do
     target="${pair%%:*}"
     baseline="${pair##*:}"

@@ -31,13 +31,12 @@ uint64_t HashName(const std::string& name) {
 /// instead of silently never firing. Tests may arm arbitrary sites under
 /// the reserved "test." namespace.
 constexpr const char* kKnownSites[] = {
-    "nn.predict.nan",    "nn.predict.error",  "nn.predict.delay",
-    "nn.quant.drift",    "io.open.fail",      "io.write.fail",
-    "io.write.partial",  "io.dir.fsync.fail", "train.step.nan",
-    "train.step.error",  "train.step.delay",  "train.eval.error",
-    "daemon.queue.full", "daemon.shard.stall", "daemon.shard.crash",
-    "serve.adapt.nan",   "serve.adapt.error",  "serve.adapt.delay",
-    "serve.adapt.reject",
+    "nn.predict.nan",     "nn.predict.error",   "nn.predict.delay",
+    "io.open.fail",       "io.write.fail",      "io.write.partial",
+    "io.dir.fsync.fail",  "train.step.nan",     "train.step.error",
+    "train.step.delay",   "train.eval.error",   "daemon.queue.full",
+    "daemon.shard.stall", "daemon.shard.crash", "serve.adapt.nan",
+    "serve.adapt.error",  "serve.adapt.delay",  "serve.adapt.reject",
 };
 
 /// Only delay sites consume an `ms=` option; arming it anywhere else is a

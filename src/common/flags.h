@@ -27,6 +27,11 @@ class Flags {
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def = false) const;
 
+  /// The flags given that are not in `known`, in name order — for a front
+  /// end that must reject a misspelt or retired flag instead of running
+  /// with the default it would otherwise fall back to.
+  std::vector<std::string> Unknown(const std::vector<std::string>& known) const;
+
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:

@@ -42,16 +42,6 @@ void Module::VisitModules(
   }
 }
 
-void Module::VisitModules(
-    const std::function<void(const std::string&, const Module*)>& fn,
-    const std::string& prefix) const {
-  fn(prefix, this);
-  for (const auto& [name, child] : children_) {
-    const Module* c = child;
-    c->VisitModules(fn, prefix.empty() ? name : prefix + "." + name);
-  }
-}
-
 Var Module::RegisterParameter(std::string name, Tensor init) {
   Var v = Var::Leaf(std::move(init), /*requires_grad=*/true);
   params_.emplace_back(std::move(name), v);

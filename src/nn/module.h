@@ -38,14 +38,11 @@ class Module {
   int64_t NumParameters() const;
 
   /// Depth-first traversal of this module and every registered child with
-  /// hierarchical names ("" for the root, "gru.w_z" style below). The int8
-  /// pack layer (nn/quant.cc) uses this to reach every Linear without the
-  /// Module base knowing layer types.
+  /// hierarchical names ("" for the root, "gru.w_z" style below), so a
+  /// caller can reach a named layer without the Module base knowing layer
+  /// types.
   void VisitModules(const std::function<void(const std::string&, Module*)>& fn,
                     const std::string& prefix = "");
-  void VisitModules(
-      const std::function<void(const std::string&, const Module*)>& fn,
-      const std::string& prefix = "") const;
 
  protected:
   /// Registers a trainable tensor; returns the parameter Var.

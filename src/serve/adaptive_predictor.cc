@@ -53,8 +53,6 @@ void AdaptStats::Accumulate(const AdaptStats& other) {
   rollbacks_error += other.rollbacks_error;
   freezes += other.freezes;
   unfreezes += other.unfreezes;
-  repacks += other.repacks;
-  repack_failures += other.repack_failures;
   shadow_forwards += other.shadow_forwards;
   shadow_failures += other.shadow_failures;
   frozen = frozen || other.frozen;
@@ -73,22 +71,13 @@ void AdaptStats::Accumulate(const AdaptStats& other) {
 }
 
 AdaptivePredictor::AdaptivePredictor(NeuralForecaster* trainee,
-                                     QuantizedForecaster* quant,
                                      AdaptOptions options)
-    : trainee_(trainee),
-      quant_(quant),
-      serving_(quant != nullptr ? static_cast<Forecaster*>(quant) : trainee),
-      options_(options) {}
+    : trainee_(trainee), options_(options) {}
 
 Result<std::unique_ptr<AdaptivePredictor>> AdaptivePredictor::Create(
-    NeuralForecaster* trainee, QuantizedForecaster* quant_or_null,
-    AdaptOptions options) {
+    NeuralForecaster* trainee, AdaptOptions options) {
   if (trainee == nullptr) {
     return Status::InvalidArgument("AdaptivePredictor needs a model");
-  }
-  if (quant_or_null != nullptr && quant_or_null->inner() != trainee) {
-    return Status::InvalidArgument(
-        "AdaptivePredictor's int8 wrapper must wrap the trainee");
   }
   if (!trainee->SupportsStreaming()) {
     return Status::InvalidArgument(trainee->name() +
@@ -116,23 +105,23 @@ Result<std::unique_ptr<AdaptivePredictor>> AdaptivePredictor::Create(
         "cusum_h > 0, sigma_floor > 0, ewma_alpha in (0,1])");
   }
   std::unique_ptr<AdaptivePredictor> wrapper(
-      new AdaptivePredictor(trainee, quant_or_null, options));
+      new AdaptivePredictor(trainee, options));
   // The frozen A/B arm is the weights at wrapper creation; capturing also
   // verifies the model is fitted.
   EALGAP_ASSIGN_OR_RETURN(wrapper->frozen_params_, trainee->CaptureParams());
   return wrapper;
 }
 
-std::string AdaptivePredictor::name() const { return serving_->name(); }
+std::string AdaptivePredictor::name() const { return trainee_->name(); }
 
 bool AdaptivePredictor::SupportsStreaming() const {
-  return serving_->SupportsStreaming();
+  return trainee_->SupportsStreaming();
 }
 
 Status AdaptivePredictor::Fit(const data::SlidingWindowDataset& dataset,
                               const data::StepRanges& split,
                               const TrainConfig& config) {
-  return serving_->Fit(dataset, split, config);
+  return trainee_->Fit(dataset, split, config);
 }
 
 Result<std::vector<double>> AdaptivePredictor::Predict(
@@ -258,7 +247,7 @@ Status AdaptivePredictor::PredictSampleInto(const data::WindowSample& sample,
     }
   }
 
-  Status st = serving_->PredictSampleInto(sample, out);
+  Status st = trainee_->PredictSampleInto(sample, out);
   if (!st.ok()) {
     // No prediction to pair with the next observation.
     pending_adapted_.clear();
@@ -366,18 +355,6 @@ Result<AdaptEvent> AdaptivePredictor::RunAttempt() {
     stats_.frozen = false;
     ++stats_.unfreezes;
     event.unfroze = true;
-  }
-  // Quant interplay: the packs were built from the pre-adaptation weights
-  // and are now stale. Rebuild them (attributed), or degrade to float —
-  // a committed adaptation never serves a stale pack.
-  if (quant_ != nullptr && !quant_->tripped()) {
-    Result<int64_t> packed = trainee_->PackQuantized();
-    if (packed.ok()) {
-      ++stats_.repacks;
-    } else {
-      ++stats_.repack_failures;
-      quant_->TripFloatFallback();
-    }
   }
   event.outcome = AdaptOutcome::kCommitted;
   return event;

@@ -10,7 +10,6 @@
 
 #include "baselines/neural.h"
 #include "common/result.h"
-#include "serve/quantized_forecaster.h"
 
 namespace ealgap {
 namespace serve {
@@ -47,7 +46,7 @@ struct AdaptOptions {
   int cooldown = 32;
   NeuralForecaster::MicroFitConfig micro;
 
-  // --- freeze + hysteresis (mirrors the quant drift guard) ---
+  // --- freeze + hysteresis ---
   /// Consecutive rolled-back attempts that trip the sticky freeze.
   int freeze_after = 3;
   /// Observed steps a freeze must age before one probe attempt is allowed;
@@ -91,8 +90,6 @@ struct AdaptStats {
   int64_t rollbacks_error = 0;   ///< micro-fit/infra failure
   int64_t freezes = 0;
   int64_t unfreezes = 0;         ///< successful probes out of a freeze
-  int64_t repacks = 0;           ///< int8 packs rebuilt after a commit
-  int64_t repack_failures = 0;   ///< commit whose repack failed -> float trip
   int64_t shadow_forwards = 0;   ///< frozen-arm forwards actually run
   int64_t shadow_failures = 0;   ///< frozen-arm forwards that errored (skipped)
   bool frozen = false;
@@ -137,12 +134,11 @@ struct AdaptStats {
 };
 
 /// Test-time adaptation layer for the serving chain. Implements Forecaster
-/// and wraps either a fitted NeuralForecaster or a QuantizedForecaster, so
-/// it slots between ResilientPredictor/OnlinePredictor and the model
-/// exactly like the quant wrapper (and stacks on top of it):
+/// and wraps a fitted NeuralForecaster, so it slots between
+/// ResilientPredictor/OnlinePredictor and the model:
 ///
 ///   ResilientPredictor -> OnlinePredictor -> AdaptivePredictor
-///       -> [QuantizedForecaster ->] NeuralForecaster
+///       -> NeuralForecaster
 ///
 /// Serving path (PredictSampleInto): consecutive samples carry last step's
 /// realized observation (`x[:, L-1]` of the next sample), so the wrapper
@@ -158,10 +154,7 @@ struct AdaptStats {
 /// micro-fits on the ring minus a held-out tail, re-validates on the tail,
 /// and commits only if the validation loss strictly improved — otherwise
 /// the snapshot is restored bit-exactly. Repeated failures trip a sticky
-/// freeze with probe-based hysteresis recovery. On commit over a quant
-/// wrapper the int8 packs are invalidated and rebuilt (attributed); a
-/// failed repack trips the quant guard's float fallback — a stale pack is
-/// never served.
+/// freeze with probe-based hysteresis recovery.
 ///
 /// Fault sites: serve.adapt.delay (attempt stall), serve.adapt.error
 /// (micro-fit failure), serve.adapt.nan (poisoned validation loss),
@@ -172,12 +165,9 @@ struct AdaptStats {
 /// phases them; the serve tool interleaves them on one thread).
 class AdaptivePredictor : public Forecaster {
  public:
-  /// Serves through `quant_or_null` when set (it must wrap `trainee`),
-  /// else through the fitted `trainee` itself. Both must outlive the
-  /// wrapper; serve/stack.h builds the layers in this order.
+  /// Serves through the fitted `trainee`, which must outlive the wrapper.
   static Result<std::unique_ptr<AdaptivePredictor>> Create(
-      NeuralForecaster* trainee, QuantizedForecaster* quant_or_null,
-      AdaptOptions options = {});
+      NeuralForecaster* trainee, AdaptOptions options = {});
 
   std::string name() const override;
   bool SupportsStreaming() const override;
@@ -192,7 +182,7 @@ class AdaptivePredictor : public Forecaster {
       const data::WindowSample& sample) override;
 
   /// Serve step: backfill + detector update for the previous sample, then
-  /// the wrapped forward (quantized when wrapped), then the shadow frozen
+  /// the wrapped forward, then the shadow frozen
   /// forward on cadence. The adapt ring's clones live on the heap (not the
   /// caller's arena), so adaptation mode trades the zero-allocation serve
   /// contract for the ring — by design.
@@ -209,8 +199,7 @@ class AdaptivePredictor : public Forecaster {
   const AdaptOptions& options() const { return options_; }
   bool frozen() const { return frozen_; }
 
-  /// The float model that is micro-fine-tuned (the quant wrapper's inner
-  /// model when serving quantized).
+  /// The model that is served and micro-fine-tuned.
   NeuralForecaster* trainee() { return trainee_; }
 
   /// Persists the detector + freeze state (CRC'd, atomic) so a restarted
@@ -222,8 +211,7 @@ class AdaptivePredictor : public Forecaster {
   Status LoadState(const std::string& path);
 
  private:
-  AdaptivePredictor(NeuralForecaster* trainee, QuantizedForecaster* quant,
-                    AdaptOptions options);
+  AdaptivePredictor(NeuralForecaster* trainee, AdaptOptions options);
 
   /// Backfills `pending_` from the next step's sample, updates the
   /// detector and A/B accumulators, and pushes it into the ring.
@@ -238,8 +226,6 @@ class AdaptivePredictor : public Forecaster {
   Result<AdaptEvent> RunAttempt();
 
   NeuralForecaster* trainee_;
-  QuantizedForecaster* quant_;  // non-null when serving quantized
-  Forecaster* serving_;         // quant_ when set, else trainee_
   AdaptOptions options_;
 
   AdaptStats stats_;

@@ -357,7 +357,6 @@ SloReport Daemon::Report() const {
     out.observes_guard_rejected += t.observes_rejected;
     out.checkpoints_written += t.checkpoints_written;
     out.checkpoint_failures += t.checkpoint_failures;
-    out.quant.Accumulate(t.quant);
     out.adapt.Accumulate(t.adapt);
   }
 

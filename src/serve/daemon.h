@@ -61,11 +61,10 @@ struct SloReport {
   int64_t shed_quarantine_observe = 0;
   int64_t queued_observe = 0;
 
-  /// Wrapper telemetry, folded from every shard across restarts (all-zero
-  /// when the stacks lack the wrapper). Adaptation has its own
+  /// Adaptation telemetry, folded from every shard across restarts
+  /// (all-zero when the stacks lack the wrapper). Adaptation has its own
   /// conservation law — attempts == commits + rollbacks — riding along
   /// with the request law: adapt.UnattributedAdaptations() must be zero.
-  QuantStats quant;
   AdaptStats adapt;
 
   // Supervisor.

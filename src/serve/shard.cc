@@ -166,7 +166,6 @@ void Shard::BeginQuarantine(int64_t now_tick, bool injected_crash) {
 }
 
 void Shard::FoldIncarnation(ShardTotals* totals) const {
-  if (stack_.quant != nullptr) totals->quant.Accumulate(stack_.quant->stats());
   if (stack_.adaptive != nullptr) {
     totals->adapt.Accumulate(stack_.adaptive->stats());
   }

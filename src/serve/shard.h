@@ -123,9 +123,8 @@ struct ShardTotals {
   int64_t repaired_values = 0;
   int64_t gap_steps_filled = 0;
   std::vector<int64_t> quarantine_by_region;
-  /// Wrapper telemetry folded in from every incarnation (all-zero unless
+  /// Adaptation telemetry folded in from every incarnation (all-zero unless
   /// the stack carries the wrapper).
-  QuantStats quant;
   AdaptStats adapt;
 };
 

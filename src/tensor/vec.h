@@ -27,7 +27,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 
 #if defined(__SSE2__)
@@ -100,44 +99,6 @@ struct VScalar {
     return std::bit_cast<float>(static_cast<uint32_t>(k + 127) << 23);
   }
 
-  // --- int8 inference support (kernels_impl.h quant kernels) ---
-  //
-  // The quantized GEMM accumulates int32 exactly, so the scalar semantics
-  // here ARE the contract: any vectorization that computes the same sums
-  // is bit-identical by integer arithmetic alone. VI holds kWidth int32
-  // accumulator lanes; "pairs" pack two adjacent-k int16 values into one
-  // int32 word, mirroring [V]PMADDWD's operand shape.
-  static VI IZero() { return 0; }
-  static VI ISet1(int32_t v) { return v; }
-  static VI ILoad(const int32_t* p) { return *p; }
-  static void IStore(int32_t* p, VI v) { *p = v; }
-  /// kWidth packed (lo, hi) int16 pairs, i.e. 2*kWidth int16 values.
-  static VI ILoadPairs(const int16_t* p) {
-    return static_cast<int32_t>(static_cast<uint16_t>(p[0]) |
-                                (static_cast<uint32_t>(
-                                     static_cast<uint16_t>(p[1]))
-                                 << 16));
-  }
-  /// acc + a.lo*b.lo + a.hi*b.hi per lane (PMADDWD then PADDD). The two
-  /// int16 products and their sum are exact in int32; callers bound k so
-  /// the running accumulator cannot overflow (nn/quant.cc).
-  static VI MAddPairsAcc(VI acc, VI a, VI b) {
-    const int32_t alo = static_cast<int16_t>(static_cast<uint32_t>(a) &
-                                             0xffffu);
-    const int32_t ahi =
-        static_cast<int16_t>(static_cast<uint32_t>(a) >> 16);
-    const int32_t blo = static_cast<int16_t>(static_cast<uint32_t>(b) &
-                                             0xffffu);
-    const int32_t bhi =
-        static_cast<int16_t>(static_cast<uint32_t>(b) >> 16);
-    return acc + (alo * blo + ahi * bhi);
-  }
-  /// int32 -> float, correctly rounded (CVTDQ2PS semantics).
-  static V IToF(VI v) { return static_cast<float>(v); }
-  /// Narrows kWidth int32 lanes (already clamped to int8 range) to int8
-  /// and stores kWidth bytes.
-  static void StoreQ8(int8_t* p, VI v) { *p = static_cast<int8_t>(v); }
-
   /// Deterministic 4-lane double accumulator: lane (i % 4) owns element i
   /// of a block; DReduce combines lanes in fixed order ((l0+l1)+l2)+l3.
   struct Dacc {
@@ -205,30 +166,6 @@ struct VSse2 {
         _mm_slli_epi32(_mm_add_epi32(k, _mm_set1_epi32(127)), 23));
   }
 
-  static VI IZero() { return _mm_setzero_si128(); }
-  static VI ISet1(int32_t v) { return _mm_set1_epi32(v); }
-  static VI ILoad(const int32_t* p) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  }
-  static void IStore(int32_t* p, VI v) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
-  }
-  static VI ILoadPairs(const int16_t* p) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  }
-  static VI MAddPairsAcc(VI acc, VI a, VI b) {
-    return _mm_add_epi32(acc, _mm_madd_epi16(a, b));
-  }
-  static V IToF(VI v) { return _mm_cvtepi32_ps(v); }
-  static void StoreQ8(int8_t* p, VI v) {
-    // Lanes are pre-clamped to [-127, 127], so the saturating packs are
-    // exact narrowing conversions.
-    const __m128i p16 = _mm_packs_epi32(v, v);
-    const __m128i p8 = _mm_packs_epi16(p16, p16);
-    const int32_t packed = _mm_cvtsi128_si32(p8);
-    std::memcpy(p, &packed, 4);
-  }
-
   struct Dacc {
     __m128d lo;  // lanes 0,1
     __m128d hi;  // lanes 2,3
@@ -291,29 +228,6 @@ struct VAvx2 {
   static V Pow2FromInt(VI k) {
     return _mm256_castsi256_ps(
         _mm256_slli_epi32(_mm256_add_epi32(k, _mm256_set1_epi32(127)), 23));
-  }
-
-  static VI IZero() { return _mm256_setzero_si256(); }
-  static VI ISet1(int32_t v) { return _mm256_set1_epi32(v); }
-  static VI ILoad(const int32_t* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  static void IStore(int32_t* p, VI v) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  }
-  static VI ILoadPairs(const int16_t* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  static VI MAddPairsAcc(VI acc, VI a, VI b) {
-    return _mm256_add_epi32(acc, _mm256_madd_epi16(a, b));
-  }
-  static V IToF(VI v) { return _mm256_cvtepi32_ps(v); }
-  static void StoreQ8(int8_t* p, VI v) {
-    const __m128i lo = _mm256_castsi256_si128(v);
-    const __m128i hi = _mm256_extracti128_si256(v, 1);
-    const __m128i p16 = _mm_packs_epi32(lo, hi);
-    const __m128i p8 = _mm_packs_epi16(p16, p16);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(p), p8);
   }
 
   // Still a 4-lane double accumulator (one __m256d): the lane layout must
@@ -407,18 +321,6 @@ typename B::V VTanh(typename B::V x) {
   big = B::Or(big, sign);
 
   return B::Select(m_small, small_r, big);
-}
-
-/// Symmetric int8 quantization of one finite value: round-to-nearest-even
-/// of x * inv_scale, clamped to [-127, 127]. This single-element scalar is
-/// the contract shared by every backend's vector quantize body and by the
-/// offline weight-pack step (nn/quant.cc), so quantized values are
-/// bit-identical regardless of who computed them. |x * inv_scale| must be
-/// finite (callers derive inv_scale from a finite absmax).
-inline int8_t QuantizeOneS8(float x, float inv_scale) {
-  float t = VScalar::RoundNearest(x * inv_scale);
-  t = VScalar::SMin(VScalar::SMax(t, -127.f), 127.f);
-  return static_cast<int8_t>(VScalar::ToInt(t));
 }
 
 /// Logistic sigmoid 1 / (1 + e^{-x}), defined through VExp so it shares

@@ -214,6 +214,15 @@ TEST(FlagsTest, ParsesAllForms) {
   EXPECT_EQ(flags.positional()[0], "positional");
 }
 
+TEST(FlagsTest, UnknownListsFlagsOutsideTheKnownSet) {
+  const char* argv[] = {"prog", "--n=1", "--zeta", "--alpha", "2", "pos"};
+  Flags flags(6, argv);
+  EXPECT_EQ(flags.Unknown({"n", "alpha", "zeta"}),
+            std::vector<std::string>{});
+  EXPECT_EQ(flags.Unknown({"n"}),
+            (std::vector<std::string>{"alpha", "zeta"}));
+}
+
 TEST(FlagsTest, MalformedNumberFallsBack) {
   const char* argv[] = {"prog", "--n=abc"};
   Flags flags(2, argv);

@@ -45,7 +45,6 @@
 #include "serve/adaptive_predictor.h"
 #include "serve/daemon.h"
 #include "serve/load_gen.h"
-#include "serve/quantized_forecaster.h"
 #include "serve/shard.h"
 
 namespace ealgap {
@@ -187,10 +186,7 @@ struct FleetOptions {
   std::string state_root;  ///< empty => in-memory restarts
   /// Restarts reload the base model from the checkpoint, like the tool.
   bool with_reloader = false;
-  /// Serve every shard through the int8 wrapper.
-  bool quant = false;
-  serve::QuantOptions qopt;
-  /// Stack the test-time-adaptation wrapper on top (of quant when both).
+  /// Serve every shard through the test-time-adaptation wrapper.
   bool adapt = false;
   serve::AdaptOptions aopt;
 };
@@ -250,7 +246,6 @@ std::unique_ptr<serve::Daemon> MakeFleet(const FleetOptions& opt) {
     config.guard.on_bad_value = serve::RepairPolicy::kImpute;
     config.guard.on_gap = serve::RepairPolicy::kImpute;
     config.guard.max_gap_steps = 4096;
-    if (opt.quant) config.stack.quant = opt.qopt;
     if (opt.adapt) config.stack.adapt = opt.aopt;
     serve::ModelReloader reloader = nullptr;
     if (opt.with_reloader) reloader = core::LoadForecasterFromCheckpoint;
@@ -631,18 +626,6 @@ std::vector<PinnedFleet> PinnedFleets() {
   chaos.load_seed = 23;
   fleets.push_back(chaos);
 
-  PinnedFleet quant;
-  quant.name = "quant_crash_checkpoint";
-  quant.fleet.quant = true;
-  quant.fleet.qopt.check_every = 8;
-  quant.fleet.with_reloader = true;
-  quant.faults = kCrash;
-  quant.ticks = 300;
-  quant.burst_rate = 24.0;
-  quant.load_seed = 23;
-  quant.expect_checkpoint_restarts = true;
-  fleets.push_back(quant);
-
   PinnedFleet adapt;
   adapt.name = "adapt";
   adapt.fleet.adapt = true;
@@ -650,13 +633,20 @@ std::vector<PinnedFleet> PinnedFleets() {
   adapt.expect_commits = true;
   fleets.push_back(adapt);
 
-  PinnedFleet adapt_quant = quant;
-  adapt_quant.name = "adapt_quant_crash_checkpoint";
-  adapt_quant.fleet.adapt = true;
-  adapt_quant.fleet.aopt = HotAdaptOptions();
-  adapt_quant.burst_rate = 10.0;
-  adapt_quant.expect_commits = true;
-  fleets.push_back(adapt_quant);
+  // Adaptation across crashes and checkpoint restarts: every restart
+  // reloads the adapted weights and the detector state from disk.
+  PinnedFleet adapt_crash;
+  adapt_crash.name = "adapt_crash_checkpoint";
+  adapt_crash.fleet.adapt = true;
+  adapt_crash.fleet.aopt = HotAdaptOptions();
+  adapt_crash.fleet.with_reloader = true;
+  adapt_crash.faults = kCrash;
+  adapt_crash.ticks = 300;
+  adapt_crash.burst_rate = 10.0;
+  adapt_crash.load_seed = 23;
+  adapt_crash.expect_checkpoint_restarts = true;
+  adapt_crash.expect_commits = true;
+  fleets.push_back(adapt_crash);
   return fleets;
 }
 
@@ -872,94 +862,26 @@ TEST(DaemonAdaptTest, AdaptFaultSoakAttributesEveryAttempt) {
   ExpectAdaptAttributed(report.adapt);
 }
 
-// Daemon restart + fresh int8 wrapper under an armed drift fault. The
-// crash forces a restart-from-checkpoint that builds a FRESH int8 wrapper
-// around the reloaded model; the still-armed nn.quant.drift fault then
-// trips the new wrapper's guard, which falls back to float serving —
-// fully attributed, never a stale or silently-drifting pack.
-TEST(DaemonAdaptTest, RestartRewrapsQuantAndDriftTripsFloatFallback) {
-  const std::string state_root = ::testing::TempDir() + "/daemon_quant_rewrap";
-  FleetOptions opt;
-  opt.shards = 1;
-  opt.quant = true;
-  opt.qopt.check_every = 8;  // probe often so the trip lands quickly
-  opt.state_root = state_root;
-  opt.with_reloader = true;
-  auto daemon = MakeFleet(opt);
-  fault::ScopedFaults faults(
-      "daemon.shard.crash:every=1:after=20:max=1,nn.quant.drift:every=1");
-  const serve::SloReport report = RunLoad(daemon.get(), 160, 3.0, 3.0);
-  EXPECT_EQ(report.crashes_injected, 1);
-  EXPECT_EQ(report.restarts_from_checkpoint, 1);
-  ExpectFullyAttributed(report);
-
-  // The post-restart wrapper is a new object (the restart rebuilt the
-  // stack around the reloaded checkpoint) and its guard tripped to float.
-  auto* quant = daemon->shard(0)->stack().quant.get();
-  ASSERT_NE(quant, nullptr);
-  EXPECT_TRUE(quant->stats().tripped);
-  EXPECT_GT(quant->stats().float_steps, 0);
-  EXPECT_GT(quant->stats().drift_trips, 0);
-}
-
-// Drift-guard telemetry outlives the wrapper it was counted in: the shard
-// totals and the SLO report fold every incarnation's int8 steps, not only
-// the live wrapper's.
-TEST(DaemonAdaptTest, QuantStatsFoldAcrossRestarts) {
-  const std::string state_root = ::testing::TempDir() + "/daemon_quant_fold";
-  std::filesystem::remove_all(state_root);
-  FleetOptions opt;
-  opt.shards = 1;
-  opt.quant = true;
-  opt.state_root = state_root;
-  opt.with_reloader = true;
-  auto daemon = MakeFleet(opt);
-  fault::ScopedFaults faults("daemon.shard.crash:every=1:after=30:max=1");
-  const serve::SloReport report = RunLoad(daemon.get(), 120, 3.0, 3.0);
-  EXPECT_EQ(report.restarts_from_checkpoint, 1);
-  ExpectFullyAttributed(report);
-
-  const serve::QuantStats live = daemon->shard(0)->stack().quant->stats();
-  const serve::QuantStats lifetime = daemon->shard(0)->Totals().quant;
-  EXPECT_GT(live.quant_steps + live.float_steps, 0);
-  EXPECT_GT(lifetime.quant_steps + lifetime.float_steps,
-            live.quant_steps + live.float_steps);
-  EXPECT_EQ(report.quant.quant_steps, lifetime.quant_steps);
-  EXPECT_EQ(report.quant.float_steps, lifetime.float_steps);
-  EXPECT_EQ(report.quant.probes, lifetime.probes);
-}
-
 // --- the restart contract ----------------------------------------------------
 
 // Every spec x {cold restart, restart from checkpoint}: the restarted shard
 // serves through exactly the spec's layers, every wrapper is fresh (zeroed
 // stats), and a checkpoint restart serves model.ckpt's parameters.
-enum class Layers { kPlain, kQuant, kAdapt, kAdaptQuant };
+const char* LayersName(bool adapt) { return adapt ? "adapt" : "plain"; }
 
-const char* LayersName(Layers layers) {
-  switch (layers) {
-    case Layers::kPlain: return "plain";
-    case Layers::kQuant: return "quant";
-    case Layers::kAdapt: return "adapt";
-    case Layers::kAdaptQuant: return "adapt_quant";
-  }
-  return "unknown";
-}
-
+/// (adapt, from_checkpoint)
 class ShardRestartTest
-    : public ::testing::TestWithParam<std::tuple<Layers, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 
 TEST_P(ShardRestartTest, RestartBuildsTheSpecsLayersFresh) {
-  const auto [layers, from_checkpoint] = GetParam();
+  const auto [adapt, from_checkpoint] = GetParam();
   FleetOptions opt;
   opt.shards = 1;
-  opt.quant = layers == Layers::kQuant || layers == Layers::kAdaptQuant;
-  opt.qopt.check_every = 8;
-  opt.adapt = layers == Layers::kAdapt || layers == Layers::kAdaptQuant;
+  opt.adapt = adapt;
   opt.aopt = HotAdaptOptions();
   if (from_checkpoint) {
     opt.state_root = ::testing::TempDir() + "/restart_contract_" +
-                     LayersName(layers);
+                     LayersName(adapt);
     std::filesystem::remove_all(opt.state_root);
     opt.with_reloader = true;
   }
@@ -969,10 +891,6 @@ TEST_P(ShardRestartTest, RestartBuildsTheSpecsLayersFresh) {
     RunLoad(daemon.get(), 60, 3.0, 3.0);
   }
   serve::Shard* shard = daemon->shard(0);
-  if (opt.quant) {
-    const serve::QuantStats q = shard->stack().quant->stats();
-    ASSERT_GT(q.quant_steps + q.float_steps, 0);
-  }
   if (opt.adapt) {
     ASSERT_GT(shard->stack().adaptive->stats().steps, 0);
   }
@@ -983,17 +901,8 @@ TEST_P(ShardRestartTest, RestartBuildsTheSpecsLayersFresh) {
 
   const serve::ServingStack& stack = shard->stack();
   ASSERT_NE(stack.base, nullptr);
-  EXPECT_EQ(stack.quant != nullptr, opt.quant);
   EXPECT_EQ(stack.adaptive != nullptr, opt.adapt);
   EXPECT_EQ(shard->model(), stack.top());
-  if (stack.quant != nullptr) {
-    const serve::QuantStats q = stack.quant->stats();
-    EXPECT_EQ(q.quant_steps, 0);
-    EXPECT_EQ(q.float_steps, 0);
-    EXPECT_EQ(q.probes, 0);
-    EXPECT_EQ(q.drift_trips, 0);
-    EXPECT_FALSE(q.tripped);
-  }
   if (stack.adaptive != nullptr) {
     const serve::AdaptStats& a = stack.adaptive->stats();
     EXPECT_EQ(a.steps, 0);
@@ -1016,10 +925,8 @@ TEST_P(ShardRestartTest, RestartBuildsTheSpecsLayersFresh) {
 
 INSTANTIATE_TEST_SUITE_P(
     Specs, ShardRestartTest,
-    ::testing::Combine(::testing::Values(Layers::kPlain, Layers::kQuant,
-                                         Layers::kAdapt, Layers::kAdaptQuant),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<Layers, bool>>& info) {
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
       return std::string(LayersName(std::get<0>(info.param))) +
              (std::get<1>(info.param) ? "_from_checkpoint" : "_cold");
     });

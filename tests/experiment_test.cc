@@ -60,8 +60,7 @@ TEST(MakeForecasterTest, AllPaperSchemesConstruct) {
     ASSERT_TRUE(model.ok()) << scheme;
     EXPECT_EQ((*model)->name().empty(), false);
   }
-  for (const std::string& extra :
-       {"HA", "EALGAP-G", "EALGAP-E", "EALGAP-N"}) {
+  for (const char* extra : {"HA", "EALGAP-G", "EALGAP-E", "EALGAP-N"}) {
     EXPECT_TRUE(MakeForecaster(extra, *prepared).ok()) << extra;
   }
 }

@@ -26,6 +26,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,7 +39,6 @@
 #include "core/experiment.h"
 #include "data/dataset.h"
 #include "serve/online_predictor.h"
-#include "serve/quantized_forecaster.h"
 #include "serve/resilient_predictor.h"
 
 namespace ealgap {
@@ -151,14 +151,16 @@ TEST(FaultHarnessTest, UnknownSiteIsRejectedNamingTheBadToken) {
   // Restores any ambient (env-derived) arming after the raw ArmFromSpec
   // calls below — EnvVarArmsTheHarness runs later in this binary.
   fault::ScopedFaults guard("");
-  // A typo'd site must fail loudly at arm time, not silently never fire.
-  Status st = fault::ArmFromSpec("nn.predct.nan:every=3");
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kParseError);
-  EXPECT_NE(st.message().find("nn.predct.nan"), std::string::npos)
-      << st.ToString();
-  EXPECT_NE(st.message().find("unknown fault site"), std::string::npos)
-      << st.ToString();
+  // A typo'd site must fail loudly at arm time, not silently never fire;
+  // so must a site whose code was removed (int8 serving's drift probe).
+  for (const std::string site : {"nn.predct.nan", "nn.quant.drift"}) {
+    Status st = fault::ArmFromSpec(site + ":every=3");
+    ASSERT_FALSE(st.ok()) << site;
+    EXPECT_EQ(st.code(), StatusCode::kParseError);
+    EXPECT_NE(st.message().find(site), std::string::npos) << st.ToString();
+    EXPECT_NE(st.message().find("unknown fault site"), std::string::npos)
+        << st.ToString();
+  }
   // Production sites and the reserved test.* namespace both arm cleanly.
   EXPECT_TRUE(fault::ArmFromSpec("io.write.fail:every=2").ok());
   EXPECT_TRUE(fault::ArmFromSpec("test.anything.goes:every=2").ok());
@@ -731,53 +733,6 @@ TEST_F(FaultServeTest, DeadlineOverrunsDegrade) {
   EXPECT_EQ(resilient.degradation()
                 .by_cause[static_cast<int>(DegradeCause::kDeadline)],
             1);
-}
-
-// --- nn.quant.drift ----------------------------------------------------------
-
-// The quant drift site is a production site (kKnownSites), so arming it by
-// name must parse — a typo would be rejected naming the known-site list.
-TEST(FaultHarnessTest, QuantDriftIsAKnownSite) {
-  fault::ScopedFaults faults("nn.quant.drift:every=7:max=2");
-  EXPECT_TRUE(fault::Armed());
-  fault::DisarmAll();
-}
-
-// End-to-end through the serve stack: an armed nn.quant.drift forces the
-// QuantizedForecaster's guard to trip mid-replay. The tripping step and
-// everything after serve the float model — so from the resilience chain's
-// point of view nothing degrades, and from the fault harness's point of
-// view the site fired exactly once.
-TEST_F(FaultServeTest, QuantDriftFaultTripsGuardWithoutDegradingTheChain) {
-  const int64_t begin = split_->test_begin;
-  serve::QuantOptions qopt;
-  qopt.check_every = 0;       // scheduled probes off: only the fault trips
-  qopt.drift_threshold = 1e9;
-  auto quant = serve::QuantizedForecaster::Create(model_, qopt);
-  ASSERT_TRUE(quant.ok()) << quant.status().ToString();
-  auto inner = OnlinePredictor::Create(quant->get(), *dataset_, begin);
-  ASSERT_TRUE(inner.ok()) << inner.status().ToString();
-  ResilientPredictor resilient(&*inner);
-
-  fault::ScopedFaults faults("nn.quant.drift:every=4:max=1");
-  for (int k = 0; k < 10; ++k) {
-    auto served = resilient.PredictNext();
-    ASSERT_TRUE(served.ok()) << served.status().ToString();
-    EXPECT_EQ(served->cause, DegradeCause::kNone) << "step " << k;
-    EXPECT_EQ(served->source, FallbackLevel::kFullModel) << "step " << k;
-    for (double v : served->values) ASSERT_TRUE(std::isfinite(v));
-    // Guard state flips exactly at the fault's fire step (4th call).
-    EXPECT_EQ((*quant)->tripped(), k >= 3) << "step " << k;
-    ASSERT_TRUE(resilient.Observe(StepTruth(*dataset_, begin + k)).ok());
-  }
-  const serve::QuantStats stats = (*quant)->stats();
-  EXPECT_EQ(stats.drift_trips, 1);
-  EXPECT_EQ(stats.quant_steps, 3);
-  EXPECT_EQ(stats.float_steps, 7);
-  EXPECT_FALSE(resilient.degradation().degraded());
-  const auto snap = fault::Snapshot();
-  ASSERT_EQ(snap.count("nn.quant.drift"), 1u);
-  EXPECT_EQ(snap.at("nn.quant.drift").fires, 1);
 }
 
 // --- the acceptance replay ---------------------------------------------------

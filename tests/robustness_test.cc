@@ -426,9 +426,29 @@ TEST(RobustnessTest, CheckpointZeroDimensionRejectedByParameterName) {
   }
 }
 
+TEST(RobustnessTest, CheckpointVersionErrorNamesFoundAndMaxVersions) {
+  corrupt::ServeFixture f = corrupt::ServeFixture::Make();
+  const std::string good = ::testing::TempDir() + "/ver_model.ckpt";
+  ASSERT_TRUE(f.model->SaveCheckpoint(good).ok());
+  std::string text = corrupt::ReadAll(good);
+  const std::string hdr = "ealgap-checkpoint 1";
+  const size_t hp = text.find(hdr);
+  ASSERT_NE(hp, std::string::npos);
+  text.replace(hp, hdr.size(), "ealgap-checkpoint 7");
+  const std::string bad = ::testing::TempDir() + "/ver_model_bad.ckpt";
+  corrupt::WriteAll(bad, text);
+  core::EalgapForecaster fresh;
+  Status st = fresh.LoadCheckpoint(bad);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("version 7"), std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.message().find("maximum supported: 1"), std::string::npos)
+      << st.ToString();
+}
+
 TEST(RobustnessTest, AdaptStateNegativeRegionsRejectedByFieldName) {
   corrupt::ServeFixture f = corrupt::ServeFixture::Make();
-  auto adaptive = serve::AdaptivePredictor::Create(f.model.get(), nullptr);
+  auto adaptive = serve::AdaptivePredictor::Create(f.model.get());
   ASSERT_TRUE(adaptive.ok()) << adaptive.status().ToString();
   const std::string path = ::testing::TempDir() + "/neg_regions.adapt";
   ASSERT_TRUE((*adaptive)->SaveState(path).ok());
@@ -442,7 +462,7 @@ TEST(RobustnessTest, AdaptStateNegativeRegionsRejectedByFieldName) {
 
 TEST(RobustnessTest, AdaptStateBitFlipFailsChecksum) {
   corrupt::ServeFixture f = corrupt::ServeFixture::Make();
-  auto adaptive = serve::AdaptivePredictor::Create(f.model.get(), nullptr);
+  auto adaptive = serve::AdaptivePredictor::Create(f.model.get());
   ASSERT_TRUE(adaptive.ok()) << adaptive.status().ToString();
   const std::string path = ::testing::TempDir() + "/bitflip.adapt";
   ASSERT_TRUE((*adaptive)->SaveState(path).ok());

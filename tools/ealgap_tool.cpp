@@ -9,18 +9,21 @@
 //       Prints feed statistics: record counts, date range, cleaning report.
 //
 //   evaluate  --trips T.csv --stations S.csv --start YYYY-MM-DD --days N
-//             [--regions K] [--scheme EALGAP] [--epochs N] [--save ckpt.txt]
+//             [--regions K] [--seed N] [--min-pickups X] [--L L] [--M M]
+//             [--scheme EALGAP] [--epochs N] [--lr LR] [--save ckpt.txt]
 //             [--train-state path --checkpoint-every K [--resume]]
-//             [--quant]
 //       Runs the full pipeline on a trip feed, trains the scheme, and
-//       reports the test metrics. --save checkpoints the fitted model.
+//       reports the test metrics. --min-pickups drops stations below that
+//       average hourly pick-up rate; --L and --M are the history length
+//       and the number of windows. --save checkpoints the fitted model.
 //       --train-state writes a crash-safe full-training-state snapshot
 //       every --checkpoint-every epochs; with --resume an interrupted run
 //       continues from it bit-identically to an uninterrupted one.
 //
 //   experiment [--cities A,B] [--periods normal,weather] [--schemes X,Y]
-//              [--epochs N] [--scale F] [--seed N] [--journal J.txt]
-//              [--resume] [--state-dir DIR] [--checkpoint-every K]
+//              [--epochs N] [--lr LR] [--scale F] [--seed N]
+//              [--journal J.txt] [--resume] [--state-dir DIR]
+//              [--checkpoint-every K] [--verbose]
 //       Sweeps cities x periods x schemes, training and evaluating every
 //       cell. Each finished cell is recorded atomically in --journal, so
 //       an interrupted sweep rerun with --resume skips completed cells.
@@ -31,10 +34,9 @@
 //
 //   serve     --trips T.csv --stations S.csv --start YYYY-MM-DD --days N
 //             --checkpoint ckpt.txt [--regions K] [--seed N]
+//             [--min-pickups X] [--L L] [--M M]
 //             [--repair reject|hold-last|impute] [--deadline-ms D]
-//             [--recovery K] [--quant] [--quant-check-every N]
-//             [--quant-threshold D] [--quant-pack P.qpack]
-//             [--adapt] [--adapt-cusum-k K] [--adapt-cusum-h H]
+//             [--recovery K] [--adapt] [--adapt-cusum-k K] [--adapt-cusum-h H]
 //             [--adapt-window W] [--adapt-holdout H] [--adapt-min-window M]
 //             [--adapt-cooldown C] [--adapt-steps S] [--adapt-lr LR]
 //             [--adapt-freeze-after F] [--adapt-probe-after P]
@@ -47,15 +49,9 @@
 //       input-guard policy for bad values and gaps; --deadline-ms bounds
 //       the model's answer time (0 = unbounded); --recovery is the
 //       hysteresis: consecutive healthy model answers needed to promote
-//       back from a fallback. --quant serves through the int8 quantized
-//       forward (DESIGN.md §8g) with a float-parity drift guard:
-//       --quant-check-every sets the shadow-probe cadence (0 = off,
-//       default 64), --quant-threshold the max tolerated per-region
-//       relative drift before the sticky float fallback (default 0.5),
-//       and --quant-pack a pack-cache
-//       file keyed to the checkpoint's CRC (stale caches are a hard
-//       error). --adapt serves through the test-time-adaptation wrapper
-//       (DESIGN.md §8h), stacked above --quant when both are on: a
+//       back from a fallback. The pipeline flags must match the ones the
+//       checkpoint was evaluated with. --adapt serves through the
+//       test-time-adaptation wrapper (DESIGN.md §8h): a
 //       per-region CUSUM drift detector over
 //       matched-stat residuals triggers bounded micro-fine-tunes on the
 //       recent window, committed only when held-out validation improves
@@ -78,7 +74,6 @@
 //             [--model-deadline-ms MS] [--recovery K]
 //             [--checkpoint-every K] [--steady-rate X] [--steady-ticks A]
 //             [--burst-rate Y] [--burst-ticks B] [--load-seed S]
-//             [--quant] [--quant-check-every N] [--quant-threshold D]
 //             [--adapt] [--adapt-* knobs as for serve]
 //       Overload-safe sharded serving soak (DESIGN.md §8f): builds a
 //       synthetic fleet of N shards (R regions each), fits a small EALGAP
@@ -92,32 +87,30 @@
 //       per-shard training rate (default 3e-3) and --recovery the serving
 //       chain's hysteresis, as for serve. --state-dir enables on-disk
 //       CRC'd checkpoints so restarts rehearse the recover-from-disk path.
-//       --quant serves every shard through the int8 quantized forward
-//       with per-shard drift guards; --adapt (same knobs as serve) adds
-//       per-shard test-time adaptation, run single-threaded from the
-//       supervisor phase. Every restart builds fresh wrappers (DESIGN.md
-//       §8f) around the reloaded checkpoint, or the in-memory model
-//       without --state-dir. Committed adaptations re-save the shard's
-//       model checkpoint and persist the detector state, so
-//       quarantine-restarts resume the adapted weights and drift posture
-//       — and with --quant the int8 packs are rebuilt after every commit
-//       (a failed repack trips the float fallback, never a stale pack).
-//       The SLO report folds drift-guard telemetry and adaptation
-//       attribution across restarts; exit 3 if any attempt goes
-//       unattributed. Arm EALGAP_FAULTS with
+//       --adapt (same knobs as serve) adds per-shard test-time
+//       adaptation, run single-threaded from the supervisor phase. Every
+//       restart builds a fresh wrapper (DESIGN.md §8f) around the
+//       reloaded checkpoint, or the in-memory model without --state-dir.
+//       Committed adaptations re-save the shard's model checkpoint and
+//       persist the detector state, so quarantine-restarts resume the
+//       adapted weights and drift posture. The SLO report folds
+//       adaptation attribution across restarts; exit 3 if any attempt
+//       goes unattributed. Arm EALGAP_FAULTS with
 //       daemon.queue.full / daemon.shard.stall / daemon.shard.crash (plus
-//       the nn.* sites, including nn.quant.drift, and the
-//       serve.adapt.* sites) for chaos soaks.
+//       the nn.* and serve.adapt.* sites) for chaos soaks.
+//
+// Every subcommand accepts exactly the flags its synopsis lists: any
+// other flag is an error, reported before any work starts.
 //
 // Exit code 0 on success; errors go to stderr.
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/checksum.h"
 #include "common/flags.h"
@@ -134,7 +127,6 @@
 #include "serve/adaptive_predictor.h"
 #include "serve/daemon.h"
 #include "serve/online_predictor.h"
-#include "serve/quantized_forecaster.h"
 #include "serve/resilient_predictor.h"
 #include "serve/stack.h"
 #include "stats/metrics.h"
@@ -287,23 +279,6 @@ void PrintMetrics(const std::string& title, const stats::MetricReport& m) {
   table.Print(std::cout);
 }
 
-serve::QuantOptions QuantOptionsFromFlags(const Flags& flags) {
-  serve::QuantOptions opt;
-  opt.check_every = flags.GetInt("quant-check-every", 64);
-  opt.drift_threshold = flags.GetDouble("quant-threshold", 0.5);
-  return opt;
-}
-
-void PrintQuantStats(const serve::QuantStats& s) {
-  TablePrinter qt("int8 quantized serving (drift guard)",
-                  {"quant-steps", "float-steps", "probes", "trips",
-                   "max-drift", "tripped"});
-  qt.AddRow({std::to_string(s.quant_steps), std::to_string(s.float_steps),
-             std::to_string(s.probes), std::to_string(s.drift_trips),
-             TablePrinter::Num(s.max_drift), s.tripped ? "yes" : "no"});
-  qt.Print(std::cout);
-}
-
 serve::AdaptOptions AdaptOptionsFromFlags(const Flags& flags) {
   serve::AdaptOptions opt;
   opt.cusum_k = flags.GetDouble("adapt-cusum-k", opt.cusum_k);
@@ -326,11 +301,10 @@ serve::AdaptOptions AdaptOptionsFromFlags(const Flags& flags) {
   return opt;
 }
 
-/// --quant / --adapt (with their knobs) as the wrappers serve and daemon
-/// stack on the model.
+/// --adapt (with its knobs) as the wrapper serve and daemon stack on the
+/// model.
 serve::StackSpec StackSpecFromFlags(const Flags& flags) {
   serve::StackSpec spec;
-  if (flags.GetBool("quant")) spec.quant = QuantOptionsFromFlags(flags);
   if (flags.GetBool("adapt")) spec.adapt = AdaptOptionsFromFlags(flags);
   return spec;
 }
@@ -350,12 +324,11 @@ int PrintAdaptStats(const serve::AdaptStats& s) {
              std::to_string(s.unfreezes), s.frozen ? "yes" : "no"});
   at.Print(std::cout);
   TablePrinter dt("adaptation detail",
-                  {"max-cusum", "val-before", "val-after", "repacks",
-                   "repack-fail", "shadow-fwd", "shadow-fail"});
+                  {"max-cusum", "val-before", "val-after", "shadow-fwd",
+                   "shadow-fail"});
   dt.AddRow({TablePrinter::Num(s.max_cusum),
              TablePrinter::Num(s.last_val_before),
-             TablePrinter::Num(s.last_val_after), std::to_string(s.repacks),
-             std::to_string(s.repack_failures),
+             TablePrinter::Num(s.last_val_after),
              std::to_string(s.shadow_forwards),
              std::to_string(s.shadow_failures)});
   dt.Print(std::cout);
@@ -437,32 +410,6 @@ int Evaluate(const Flags& flags) {
   PrintMetrics("test metrics (" + scheme + ")",
                stats::ComputeMetrics(pred, truth));
 
-  if (flags.GetBool("quant")) {
-    if (neural == nullptr) {
-      std::cerr << "error: --quant supports neural schemes only, not "
-                << scheme << "\n";
-      return 1;
-    }
-    auto quant =
-        serve::QuantizedForecaster::Create(neural, QuantOptionsFromFlags(flags));
-    if (!quant.ok()) return Fail(quant.status());
-    std::vector<double> qpred, qtruth;
-    Status qs = (*quant)->PredictRange(prepared.dataset,
-                                       prepared.split.test_begin,
-                                       prepared.split.test_end, &qpred,
-                                       &qtruth);
-    if (!qs.ok()) return Fail(qs);
-    PrintMetrics("test metrics (" + scheme + ", int8)",
-                 stats::ComputeMetrics(qpred, qtruth));
-    double worst = 0.0;
-    for (size_t i = 0; i < pred.size() && i < qpred.size(); ++i) {
-      worst = std::max(worst, std::abs(qpred[i] - pred[i]) /
-                                  std::max(std::abs(pred[i]), 1.0));
-    }
-    std::cout << "int8 vs float: max relative prediction drift "
-              << TablePrinter::Num(worst) << "\n";
-    PrintQuantStats((*quant)->stats());
-  }
   return 0;
 }
 
@@ -579,25 +526,7 @@ int Serve(const Flags& flags) {
   auto stack =
       serve::BuildStack(std::move(model).value(), StackSpecFromFlags(flags));
   if (!stack.ok()) return Fail(stack.status());
-  serve::QuantizedForecaster* quant = stack->quant.get();
   serve::AdaptivePredictor* adaptive = stack->adaptive.get();
-
-  // --quant-pack: a pack cache keyed to the checkpoint file's CRC. Loading
-  // a cache built from different checkpoint bytes is a hard error, never a
-  // silent repack.
-  const std::string pack_path = flags.GetString("quant-pack", "");
-  if (quant != nullptr && !pack_path.empty()) {
-    NeuralForecaster* neural = stack->checkpointable();
-    if (std::ifstream(pack_path).good()) {
-      Status loaded = neural->LoadQuantPack(pack_path, ckpt);
-      if (!loaded.ok()) return Fail(loaded);
-      std::cout << "quantized packs loaded from " << pack_path << "\n";
-    } else {
-      Status saved = neural->SaveQuantPack(pack_path, ckpt);
-      if (!saved.ok()) return Fail(saved);
-      std::cout << "quantized packs written to " << pack_path << "\n";
-    }
-  }
 
   auto predictor = serve::OnlinePredictor::Create(
       stack->top(), prepared.dataset, prepared.split.test_begin);
@@ -699,7 +628,6 @@ int Serve(const Flags& flags) {
   gt.Print(std::cout);
   std::vector<int64_t> quarantine(gs.quarantine.begin(), gs.quarantine.end());
   PrintRegionQuarantines(quarantine);
-  if (quant != nullptr) PrintQuantStats(quant->stats());
   if (adaptive != nullptr) return PrintAdaptStats(adaptive->stats());
   return 0;
 }
@@ -886,7 +814,6 @@ int Daemon(const Flags& flags) {
   ht.Print(std::cout);
   PrintRegionQuarantines(fleet_quarantine);
 
-  if (spec.quant) PrintQuantStats(report.quant);
   int adapt_rc = 0;
   if (spec.adapt) adapt_rc = PrintAdaptStats(report.adapt);
   // Each observed sample needs an applied observe; more means some
@@ -913,6 +840,58 @@ int Daemon(const Flags& flags) {
   return 0;
 }
 
+using FlagList = std::vector<std::string>;
+
+FlagList Join(std::initializer_list<FlagList> lists) {
+  FlagList out;
+  for (const FlagList& l : lists) out.insert(out.end(), l.begin(), l.end());
+  return out;
+}
+
+/// BuildPrepared's flags, shared by evaluate and serve.
+const FlagList kPipelineFlags = {"trips", "stations", "start", "days",
+                                 "regions", "seed", "min-pickups", "L", "M"};
+/// StackSpecFromFlags' flags, shared by serve and daemon.
+const FlagList kAdaptFlags = {
+    "adapt",          "adapt-cusum-k",      "adapt-cusum-h",
+    "adapt-window",   "adapt-holdout",      "adapt-min-window",
+    "adapt-cooldown", "adapt-steps",        "adapt-lr",
+    "adapt-freeze-after", "adapt-probe-after", "adapt-shadow-every"};
+
+struct Subcommand {
+  const char* name;
+  int (*run)(const Flags&);
+  /// Every flag `run` reads, as its synopsis at the top of this file lists.
+  FlagList flags;
+};
+
+const std::vector<Subcommand>& Subcommands() {
+  static const std::vector<Subcommand> commands = {
+      {"generate", Generate,
+       {"out-trips", "out-stations", "city", "period", "seed", "scale"}},
+      {"inspect", Inspect, {"trips", "stations"}},
+      {"evaluate", Evaluate,
+       Join({kPipelineFlags,
+             {"scheme", "epochs", "lr", "save", "train-state",
+              "checkpoint-every", "resume"}})},
+      {"experiment", Experiment,
+       {"cities", "periods", "schemes", "epochs", "lr", "scale", "seed",
+        "journal", "resume", "state-dir", "checkpoint-every", "verbose"}},
+      {"serve", Serve,
+       Join({kPipelineFlags,
+             {"checkpoint", "repair", "deadline-ms", "recovery"},
+             kAdaptFlags})},
+      {"daemon", Daemon,
+       Join({{"shards", "regions-per-shard", "days", "epochs", "lr", "ticks",
+              "seed", "threads", "state-dir", "queue-capacity", "batch-max",
+              "deadline-ticks", "ms-per-tick", "model-deadline-ms",
+              "recovery", "checkpoint-every", "steady-rate", "steady-ticks",
+              "burst-rate", "burst-ticks", "load-seed"},
+             kAdaptFlags})},
+  };
+  return commands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -924,12 +903,15 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   ealgap::Flags flags(argc - 1, argv + 1);
-  if (cmd == "generate") return Generate(flags);
-  if (cmd == "inspect") return Inspect(flags);
-  if (cmd == "evaluate") return Evaluate(flags);
-  if (cmd == "experiment") return Experiment(flags);
-  if (cmd == "serve") return Serve(flags);
-  if (cmd == "daemon") return Daemon(flags);
+  for (const Subcommand& sub : Subcommands()) {
+    if (cmd != sub.name) continue;
+    const FlagList unknown = flags.Unknown(sub.flags);
+    for (const std::string& name : unknown) {
+      std::cerr << "error: " << cmd << " does not take --" << name << "\n";
+    }
+    if (!unknown.empty()) return 1;
+    return sub.run(flags);
+  }
   std::cerr << "unknown subcommand: " << cmd << "\n";
   return 1;
 }
