@@ -505,6 +505,15 @@ Status NeuralForecaster::PredictSampleInto(const data::WindowSample& sample,
     }
   }
   NoGradGuard no_grad;
+  ServeForwardInto(sample, out);
+  if (fault::Armed() && fault::ShouldFail("nn.predict.nan") && !out->empty()) {
+    (*out)[0] = std::numeric_limits<double>::quiet_NaN();
+  }
+  return Status::OK();
+}
+
+void NeuralForecaster::ServeForwardInto(const data::WindowSample& sample,
+                                        std::vector<double>* out) {
   // Reused one-sample batch. The WindowSample copy is eight tensor
   // refcount bumps, not a data copy; the vector is cleared before
   // returning so no tensor handle outlives a serve-path arena scope.
@@ -519,10 +528,6 @@ Status NeuralForecaster::PredictSampleInto(const data::WindowSample& sample,
   for (int64_t i = 0; i < counts.numel(); ++i) {
     (*out)[i] = std::max(0.0, static_cast<double>(p[i]));
   }
-  if (fault::Armed() && fault::ShouldFail("nn.predict.nan") && !out->empty()) {
-    (*out)[0] = std::numeric_limits<double>::quiet_NaN();
-  }
-  return Status::OK();
 }
 
 // --- Checkpointing ----------------------------------------------------------

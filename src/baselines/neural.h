@@ -108,6 +108,13 @@ class NeuralForecaster : public Forecaster {
   /// Model-space predictions for a batch, shape (B, N).
   virtual Var ForwardBatch(const std::vector<data::WindowSample>& batch) = 0;
 
+  /// The no-grad body of PredictSampleInto: one clamped count per region
+  /// into `out` (resized, capacity reused). Runs after PredictSampleInto's
+  /// fitted check and fault sites. Default: ForwardBatch on a one-sample
+  /// batch, then InverseScale. An override must produce the same bits.
+  virtual void ServeForwardInto(const data::WindowSample& sample,
+                                std::vector<double>* out);
+
   /// Converts raw count targets (B, N) to model space.
   virtual Tensor ScaleTargets(const Tensor& targets) const = 0;
 

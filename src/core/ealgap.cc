@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "core/extreme_degree.h"
 #include "core/global_impact.h"
 #include "nn/linear.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace ealgap {
@@ -33,7 +36,114 @@ struct EalgapForecaster::Net : nn::Module {
           std::make_unique<ExtremeDegreeModule>(n, l, opts.gru_hidden, rng);
       RegisterModule("extreme", extreme.get());
     }
+    if (global && extreme && opts.attention_dim == 1 &&
+        l <= kernels::kEalgapServeMaxHistory &&
+        opts.hidden <= kernels::kEalgapServeMaxHidden &&
+        opts.gru_hidden <= kernels::kEalgapServeMaxGru) {
+      fused = std::make_unique<FusedParams>(*this);
+    }
   }
+
+  /// Handles on the parameters the fused serve pass reads. A Var shares
+  /// its parameter's node, so every call reads the live values: optimizer
+  /// steps, RestoreParams and adaptation commits all write in place, and
+  /// LoadCheckpoint rebuilds the Net (and with it these handles).
+  struct FusedParams {
+    explicit FusedParams(const Net& net) {
+      std::map<std::string, Var> p;
+      for (auto& [name, var] : net.NamedParameters()) p.emplace(name, var);
+      auto get = [&p](const std::string& name) {
+        auto it = p.find(name);
+        EALGAP_CHECK(it != p.end()) << "no parameter " << name;
+        return it->second;
+      };
+      for (int i = 0; i < 3; ++i) {
+        const std::string dec = "global.dec" + std::to_string(i + 1);
+        const std::string pred = "global.pred" + std::to_string(i + 1);
+        dec_w[i] = get(dec + ".weight");
+        dec_b[i] = get(dec + ".bias");
+        pred_w[i] = get(pred + ".weight");
+        pred_b[i] = get(pred + ".bias");
+      }
+      gamma = get("extreme.gamma");
+      epsilon = get("extreme.epsilon");
+      const char* const kGates[3][2] = {{"iz", "hz"}, {"ir", "hr"},
+                                        {"in", "hn"}};
+      for (int i = 0; i < 3; ++i) {
+        const std::string gru = "extreme.gru.";
+        gate_wx[i] = get(gru + kGates[i][0] + ".weight");
+        gate_b[i] = get(gru + kGates[i][0] + ".bias");
+        gate_wh[i] = get(gru + kGates[i][1] + ".weight");
+      }
+      head_w = get("extreme.head.weight");
+      head_b = get("extreme.head.bias");
+    }
+
+    Var dec_w[3], dec_b[3], pred_w[3], pred_b[3];
+    Var gamma, epsilon;
+    Var gate_wx[3], gate_b[3], gate_wh[3];
+    Var head_w, head_b;
+  };
+
+  /// The serve forward of Forward() + InverseScale as one pass per block
+  /// of regions, bit-identical to the graph path (DESIGN.md §8e). The
+  /// PDF rows and the citywide decoder run as GlobalImpactModule::Forward
+  /// runs them; ealgap_serve_rows does the rest per region.
+  void ServeFused(const data::WindowSample& sample, float scale,
+                  stats::DistributionFamily family,
+                  std::vector<double>* out) const {
+    const int64_t n = sample.x.dim(0);
+    const int64_t l = sample.x.dim(1);
+    // The kernel's stack buffers are sized by the checks at construction.
+    EALGAP_CHECK_EQ(l, fused->pred_w[0].value().dim(0));
+    EALGAP_CHECK_EQ(sample.f.dim(1), n);
+    EALGAP_CHECK_EQ(sample.f.dim(2), l);
+    EALGAP_CHECK(sample.f_mu.SameShape(sample.f) &&
+                 sample.f_sigma.SameShape(sample.f));
+    const float inv = 1.f / scale;
+    const Tensor x = ops::MulScalar(sample.x, inv);
+    Tensor h = stats::RowwisePdf(x, family).Reshape({1, n * l});
+    for (int i = 0; i < 3; ++i) {
+      const Tensor& b = fused->dec_b[i].value();
+      h = ops::Add(ops::MatMul(h, fused->dec_w[i].value()),
+                   b.Reshape({1, b.numel()}));
+      if (i < 2) h = ops::SoftmaxLastDim(h);
+    }
+    kernels::EalgapServeArgs a;
+    a.n = n;
+    a.l = l;
+    a.m = sample.f.dim(0);
+    a.hidden = fused->pred_b[0].value().numel();
+    a.gru = fused->gate_b[0].value().numel();
+    a.x = x.data();
+    a.f = sample.f.data();
+    a.f_mu = sample.f_mu.data();
+    a.f_sigma = sample.f_sigma.data();
+    a.inv_scale = inv;
+    a.scale = scale;
+    a.wqkv = h.data();
+    for (int i = 0; i < 3; ++i) {
+      a.pred_w[i] = fused->pred_w[i].value().data();
+      a.pred_b[i] = fused->pred_b[i].value().data();
+      a.gate_wx[i] = fused->gate_wx[i].value().data();
+      a.gate_b[i] = fused->gate_b[i].value().data();
+      a.gate_wh[i] = fused->gate_wh[i].value().data();
+    }
+    a.gamma = fused->gamma.value().data();
+    a.epsilon = fused->epsilon.value().data();
+    a.head_w = fused->head_w.value().data();
+    a.head_b = fused->head_b.value().data();
+    out->resize(n);
+    a.out = out->data();
+    const kernels::KernelTable& t = kernels::Active();
+    // Regions are independent, so any split gives the same bits.
+    ParallelFor(0, n, kFusedGrain, [&t, &a](int64_t r0, int64_t r1) {
+      t.ealgap_serve_rows(a, r0, r1);
+    });
+  }
+
+  /// Regions per ParallelFor chunk of the fused pass (~0.3 ms of work).
+  static constexpr int64_t kFusedGrain = 512;
 
   // All inputs in model space. Returns the (N) prediction; when `d_steps`
   // is non-null (training with degree supervision) it receives Eq. (10)'s
@@ -69,13 +179,11 @@ struct EalgapForecaster::Net : nn::Module {
   std::unique_ptr<GlobalImpactModule> global;
   std::unique_ptr<nn::Linear> mlp1, mlp2;
   std::unique_ptr<ExtremeDegreeModule> extreme;
+  std::unique_ptr<FusedParams> fused;  ///< null: serve on the graph path
 };
 
 EalgapForecaster::EalgapForecaster(EalgapOptions options)
-    : options_(options) {
-  EALGAP_CHECK(options.use_global_attention || options.use_extreme ||
-               true);  // model always has a global-impact path
-}
+    : options_(options) {}
 
 EalgapForecaster::~EalgapForecaster() = default;
 
@@ -163,6 +271,15 @@ Var EalgapForecaster::ForwardBatch(
   degree_losses.clear();
   d_steps.clear();
   return result;
+}
+
+void EalgapForecaster::ServeForwardInto(const data::WindowSample& sample,
+                                        std::vector<double>* out) {
+  if (!net_->fused) {
+    NeuralForecaster::ServeForwardInto(sample, out);
+    return;
+  }
+  net_->ServeFused(sample, scale_, options_.family, out);
 }
 
 Var EalgapForecaster::ComputeLoss(const Var& predictions,

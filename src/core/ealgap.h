@@ -13,7 +13,8 @@ namespace core {
 /// Configuration of the EALGAP model, including the ablation switches of
 /// the paper's Fig. 11.
 struct EalgapOptions {
-  /// (ii)/(iii): which modules participate. At least one must be true.
+  /// (ii)/(iii): which modules participate. Both false is a valid model:
+  /// the MLP global path with the ReLU output.
   bool use_global_attention = true;  ///< false = ablation (iii): plain MLP
   bool use_extreme = true;           ///< false = ablation (ii): global only
   /// (iv): distribution family fitted in the Global Impact Module.
@@ -52,6 +53,11 @@ class EalgapForecaster : public NeuralForecaster {
                   const data::StepRanges& split,
                   const TrainConfig& config) override;
   Var ForwardBatch(const std::vector<data::WindowSample>& batch) override;
+  /// With both modules on and J = 1, one fused pass per block of regions
+  /// (kernels::KernelTable::ealgap_serve_rows), bit-identical to the graph
+  /// path; every other configuration serves through ForwardBatch.
+  void ServeForwardInto(const data::WindowSample& sample,
+                        std::vector<double>* out) override;
   Var ComputeLoss(const Var& predictions,
                   const Tensor& scaled_targets) override;
   Tensor ScaleTargets(const Tensor& targets) const override;

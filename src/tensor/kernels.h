@@ -25,6 +25,45 @@ enum class Backend { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 /// "scalar", "sse2", "avx2".
 const char* BackendName(Backend b);
 
+/// Largest L, FC width and GRU width the fused EALGAP serve kernel holds
+/// on its stack; larger models keep the graph path.
+inline constexpr int64_t kEalgapServeMaxHistory = 32;
+inline constexpr int64_t kEalgapServeMaxHidden = 64;
+inline constexpr int64_t kEalgapServeMaxGru = 64;
+
+/// Inputs of EALGAP's fused per-region serve pass: everything after the
+/// citywide decoder at J = 1 (Eqs. 6, 7, 9, the GRU of Eq. 10 and Eq. 11,
+/// then the inverse scaling to counts). Weights are row-major (in, out)
+/// Linear weights; per-region tensors are indexed by region.
+struct EalgapServeArgs {
+  int64_t n = 0;       ///< regions N (stride between windows of f)
+  int64_t l = 0;       ///< history length L
+  int64_t m = 0;       ///< day-offset windows M
+  int64_t hidden = 0;  ///< predictor width
+  int64_t gru = 0;     ///< GRU width
+  const float* x = nullptr;  ///< (N, L) model-space history (×1/scale)
+  /// (M, N, L) raw windows and their matched statistics; scaled by
+  /// inv_scale inside the pass.
+  const float* f = nullptr;
+  const float* f_mu = nullptr;
+  const float* f_sigma = nullptr;
+  float inv_scale = 1.f;
+  float scale = 1.f;  ///< model space -> counts
+  const float* wqkv = nullptr;  ///< (N, 3) decoded W^Q, W^K, W^V
+  const float* pred_w[3] = {};  ///< (L, hidden), (hidden, hidden), (hidden, 1)
+  const float* pred_b[3] = {};
+  const float* gamma = nullptr;    ///< (N)
+  const float* epsilon = nullptr;  ///< (N)
+  /// GRU gates in z, r, n order: input weights (L, gru) with bias (gru),
+  /// hidden weights (gru, gru).
+  const float* gate_wx[3] = {};
+  const float* gate_b[3] = {};
+  const float* gate_wh[3] = {};
+  const float* head_w = nullptr;  ///< (gru, 1)
+  const float* head_b = nullptr;  ///< (1)
+  double* out = nullptr;  ///< (N) predicted counts, clamped at 0
+};
+
 /// All kernels take raw pointers (no alignment requirement) and an element
 /// count; `n == 0` is a no-op. Reduction kernels define a fixed
 /// accumulation order (4 interleaved double lanes, combined in lane order)
@@ -90,6 +129,13 @@ struct KernelTable {
   /// element keeps the exact scalar accumulation order.
   void (*matmul_rows)(const float* pa, const float* pb, float* po, int64_t i0,
                       int64_t i1, int64_t k, int64_t n);
+
+  /// EALGAP's fused serve pass over regions [r0, r1), one region per lane.
+  /// Every output equals the graph path's (GlobalImpactModule and
+  /// ExtremeDegreeModule forwards, Eq. 11, InverseScale) bit for bit: each
+  /// element repeats the op order of the kernels above, and the softmax
+  /// max repeats this table's own max_block tree.
+  void (*ealgap_serve_rows)(const EalgapServeArgs& a, int64_t r0, int64_t r1);
 
 };
 

@@ -382,6 +382,199 @@ void CopyK(const float* src, float* dst, int64_t n) {
   std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
 }
 
+// --- EALGAP fused serve pass ---
+
+/// Lane i of the result is p[i * stride]: one field of kWidth consecutive
+/// regions' rows.
+template <class L>
+typename L::V GatherLanes(const float* p, int64_t stride) {
+  float lanes[L::kWidth];
+  for (int i = 0; i < L::kWidth; ++i) lanes[i] = p[i * stride];
+  return L::Load(lanes);
+}
+
+/// sum_p a[p] * b(p) in MatMulRows' per-element tree: products in groups
+/// of four, ((a0*b0 + a1*b1) + a2*b2) + a3*b3, each group added onto a
+/// running value that starts at 0, then the remainder one product at a
+/// time. `b(p)` yields the right-hand operand (a broadcast weight or a
+/// per-region value).
+template <class L, class BFn>
+typename L::V DotTree(const typename L::V* a, int64_t k, BFn b) {
+  using V = typename L::V;
+  V acc = L::Set1(0.f);
+  int64_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    V t = L::Mul(a[p], b(p));
+    t = L::Add(t, L::Mul(a[p + 1], b(p + 1)));
+    t = L::Add(t, L::Mul(a[p + 2], b(p + 2)));
+    t = L::Add(t, L::Mul(a[p + 3], b(p + 3)));
+    acc = L::Add(acc, t);
+  }
+  for (; p < k; ++p) acc = L::Add(acc, L::Mul(a[p], b(p)));
+  return acc;
+}
+
+/// Column c of a row-major (k, cols) Linear weight applied to a[0..k),
+/// bias not included.
+template <class L>
+typename L::V DotCol(const typename L::V* a, int64_t k, const float* w,
+                     int64_t cols) {
+  return DotTree<L>(a, k,
+                    [w, cols](int64_t p) { return L::Set1(w[p * cols]); });
+}
+
+/// Max of p[0..n) in MaxBlock<B>'s tree for kTree = B::kWidth, lane-wise.
+template <class L, int kTree>
+typename L::V RowMax(const typename L::V* p, int64_t n) {
+  using V = typename L::V;
+  V m;
+  int64_t i;
+  if (n >= kTree) {
+    V acc[kTree];
+    for (int j = 0; j < kTree; ++j) acc[j] = p[j];
+    for (i = kTree; i + kTree <= n; i += kTree) {
+      for (int j = 0; j < kTree; ++j) acc[j] = L::SMax(acc[j], p[i + j]);
+    }
+    m = acc[0];
+    for (int j = 1; j < kTree; ++j) m = L::SMax(m, acc[j]);
+  } else {
+    m = p[0];
+    i = 1;
+  }
+  for (; i < n; ++i) m = L::SMax(m, p[i]);
+  return m;
+}
+
+/// Regions [r, r + L::kWidth), one per lane. Each step names the graph op
+/// whose per-element order it repeats; kTree is the width of the table
+/// the graph path's softmax_row ran on. kL/kHidden/kGru fix L and the
+/// widths at compile time; 0 reads them from `a`.
+template <class L, int kTree, int64_t kL, int64_t kHidden, int64_t kGru>
+void EalgapServeBlock(const EalgapServeArgs& a, int64_t r) {
+  using V = typename L::V;
+  const int64_t nl = kL > 0 ? kL : a.l;
+  const int64_t hid = kHidden > 0 ? kHidden : a.hidden;
+  const int64_t g = kGru > 0 ? kGru : a.gru;
+  const V zero = L::Set1(0.f);
+
+  // Eq. 6 at J = 1. q/k/v and the logits are BMatMuls onto a zeroed
+  // output (0 + x*w); the logits are then multiplied by 1/sqrt(J) = 1.
+  V x[kEalgapServeMaxHistory], q[kEalgapServeMaxHistory],
+      k[kEalgapServeMaxHistory], v[kEalgapServeMaxHistory];
+  const V wq = GatherLanes<L>(a.wqkv + r * 3, 3);
+  const V wk = GatherLanes<L>(a.wqkv + r * 3 + 1, 3);
+  const V wv = GatherLanes<L>(a.wqkv + r * 3 + 2, 3);
+  for (int64_t j = 0; j < nl; ++j) {
+    x[j] = GatherLanes<L>(a.x + r * nl + j, nl);
+    q[j] = L::Add(zero, L::Mul(x[j], wq));
+    k[j] = L::Add(zero, L::Mul(x[j], wk));
+    v[j] = L::Add(zero, L::Mul(x[j], wv));
+  }
+  const V attn_scale = L::Set1(1.f);
+  V xg[kEalgapServeMaxHistory], row[kEalgapServeMaxHistory];
+  for (int64_t i = 0; i < nl; ++i) {
+    for (int64_t j = 0; j < nl; ++j) {
+      row[j] = L::Mul(L::Add(zero, L::Mul(q[i], k[j])), attn_scale);
+    }
+    // SoftmaxRow: max, exp(x - max), double-lane SumBlock, ScaleIp.
+    const V mx = RowMax<L, kTree>(row, nl);
+    typename L::DV lanes[4] = {L::DZeroV(), L::DZeroV(), L::DZeroV(),
+                               L::DZeroV()};
+    for (int64_t j = 0; j < nl; ++j) {
+      row[j] = vec::VExp<L>(L::Sub(row[j], mx));
+      lanes[j & 3] = L::DAdd(lanes[j & 3], L::DWiden(row[j]));
+    }
+    const V inv = L::DRecip(
+        L::DAdd(L::DAdd(L::DAdd(lanes[0], lanes[1]), lanes[2]), lanes[3]));
+    for (int64_t j = 0; j < nl; ++j) row[j] = L::Mul(row[j], inv);
+    // scores . v: BMatMul of the (L, L) scores by the (L, 1) values.
+    xg[i] = DotTree<L>(row, nl, [&v](int64_t p) { return v[p]; });
+  }
+
+  // Eq. 7: pred1..3, ReLU after the first two (Linear = MatMul, bias add).
+  V p1[kEalgapServeMaxHidden], p2[kEalgapServeMaxHidden];
+  for (int64_t c = 0; c < hid; ++c) {
+    p1[c] = OpRelu::Run<L>(L::Add(DotCol<L>(xg, nl, a.pred_w[0] + c, hid),
+                                  L::Set1(a.pred_b[0][c])));
+  }
+  for (int64_t c = 0; c < hid; ++c) {
+    p2[c] = OpRelu::Run<L>(L::Add(DotCol<L>(p1, hid, a.pred_w[1] + c, hid),
+                                  L::Set1(a.pred_b[1][c])));
+  }
+  const V xg_next =
+      L::Add(DotCol<L>(p2, hid, a.pred_w[2], 1), L::Set1(a.pred_b[2][0]));
+
+  // Eq. 9 per window, then GruCell::Forward; the hidden state starts at 0.
+  const V gamma = GatherLanes<L>(a.gamma + r, 1);
+  const V eps = L::Add(OpAbs::Run<L>(GatherLanes<L>(a.epsilon + r, 1)),
+                       L::Set1(1e-4f));
+  const V inv_scale = L::Set1(a.inv_scale);
+  const V one = L::Set1(1.f);
+  V e[kEalgapServeMaxHistory];
+  V h[kEalgapServeMaxGru], z[kEalgapServeMaxGru], rh[kEalgapServeMaxGru];
+  for (int64_t c = 0; c < g; ++c) h[c] = zero;
+  for (int64_t w = 0; w < a.m; ++w) {
+    const int64_t base = (w * a.n + r) * nl;
+    for (int64_t j = 0; j < nl; ++j) {
+      const V xs = L::Mul(GatherLanes<L>(a.f + base + j, nl), inv_scale);
+      const V mu = L::Mul(GatherLanes<L>(a.f_mu + base + j, nl), inv_scale);
+      const V sg =
+          L::Mul(GatherLanes<L>(a.f_sigma + base + j, nl), inv_scale);
+      const V var = L::Add(L::Mul(sg, sg), eps);
+      const V d = L::Div(L::Sub(xs, mu), L::Sqrt(var));
+      e[j] = vec::VTanh<L>(L::Mul(d, gamma));
+    }
+    // Gate pre-activations: (x Wx + b) + h Wh.
+    auto gate = [&](int gi, const V* hin, int64_t c) {
+      return L::Add(L::Add(DotCol<L>(e, nl, a.gate_wx[gi] + c, g),
+                           L::Set1(a.gate_b[gi][c])),
+                    DotCol<L>(hin, g, a.gate_wh[gi] + c, g));
+    };
+    for (int64_t c = 0; c < g; ++c) {
+      z[c] = vec::VSigmoid<L>(gate(0, h, c));
+      rh[c] = L::Mul(vec::VSigmoid<L>(gate(1, h, c)), h[c]);
+    }
+    for (int64_t c = 0; c < g; ++c) {
+      const V n = vec::VTanh<L>(gate(2, rh, c));
+      const V one_minus_z = L::Add(OpNeg::Run<L>(z[c]), one);
+      h[c] = L::Add(L::Mul(one_minus_z, h[c]), L::Mul(z[c], n));
+    }
+  }
+  // The tanh head on the last window's state is D̂[:, t+1].
+  const V d_next = vec::VTanh<L>(
+      L::Add(DotCol<L>(h, g, a.head_w, 1), L::Set1(a.head_b[0])));
+
+  // Eq. 11, ReLU(X̂g + X̂g * D̂), then InverseScale: max(y * scale, 0).
+  const V y = OpRelu::Run<L>(L::Add(xg_next, L::Mul(xg_next, d_next)));
+  float counts[L::kWidth];
+  L::Store(counts, OpMax::Run<L>(L::Mul(y, L::Set1(a.scale)), zero));
+  for (int i = 0; i < L::kWidth; ++i) {
+    a.out[r + i] = std::max(0.0, static_cast<double>(counts[i]));
+  }
+}
+
+/// Full blocks of B::kWidth regions, then the remainder one region at a
+/// time through the VScalar instantiation of the same block.
+template <class B, int64_t kL, int64_t kHidden, int64_t kGru>
+void EalgapServeRange(const EalgapServeArgs& a, int64_t r0, int64_t r1) {
+  int64_t r = r0;
+  for (; r + B::kWidth <= r1; r += B::kWidth) {
+    EalgapServeBlock<B, B::kWidth, kL, kHidden, kGru>(a, r);
+  }
+  for (; r < r1; ++r) {
+    EalgapServeBlock<VScalar, B::kWidth, kL, kHidden, kGru>(a, r);
+  }
+}
+
+template <class B>
+void EalgapServeRows(const EalgapServeArgs& a, int64_t r0, int64_t r1) {
+  if (a.l == 5 && a.hidden == 32 && a.gru == 16) {
+    EalgapServeRange<B, 5, 32, 16>(a, r0, r1);
+  } else {
+    EalgapServeRange<B, 0, 0, 0>(a, r0, r1);
+  }
+}
+
 template <class B>
 KernelTable MakeTable(Backend backend) {
   KernelTable t;
@@ -421,6 +614,7 @@ KernelTable MakeTable(Backend backend) {
   t.normal_pdf_row = &NormalPdfRow<B>;
   t.copy = &CopyK<B>;
   t.matmul_rows = &MatMulRows<B>;
+  t.ealgap_serve_rows = &EalgapServeRows<B>;
   return t;
 }
 

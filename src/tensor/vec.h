@@ -117,6 +117,17 @@ struct VScalar {
     for (int j = 0; j < 4; ++j) out[j] = acc.lane[j];
   }
 
+  /// One double per float lane, for per-lane double sums (a softmax
+  /// denominator over kWidth independent rows): DWiden is exact, DAdd and
+  /// the divide in DRecip are IEEE-754 correctly rounded, and DRecip's
+  /// narrowing rounds to nearest like static_cast<float>.
+  using DV = double;
+  static DV DZeroV() { return 0.0; }
+  static DV DWiden(V v) { return static_cast<double>(v); }
+  static DV DAdd(DV a, DV b) { return a + b; }
+  /// float(1.0 / a) per lane.
+  static V DRecip(DV a) { return static_cast<float>(1.0 / a); }
+
  private:
   static V MaskOf(bool b) {
     return std::bit_cast<float>(b ? 0xFFFFFFFFu : 0u);
@@ -187,6 +198,23 @@ struct VSse2 {
     _mm_storeu_pd(out, acc.lo);
     _mm_storeu_pd(out + 2, acc.hi);
   }
+
+  struct DV {
+    __m128d lo;  // lanes 0,1
+    __m128d hi;  // lanes 2,3
+  };
+  static DV DZeroV() { return {_mm_setzero_pd(), _mm_setzero_pd()}; }
+  static DV DWiden(V v) {
+    return {_mm_cvtps_pd(v), _mm_cvtps_pd(_mm_movehl_ps(v, v))};
+  }
+  static DV DAdd(DV a, DV b) {
+    return {_mm_add_pd(a.lo, b.lo), _mm_add_pd(a.hi, b.hi)};
+  }
+  static V DRecip(DV a) {
+    const __m128d one = _mm_set1_pd(1.0);
+    return _mm_movelh_ps(_mm_cvtpd_ps(_mm_div_pd(one, a.lo)),
+                         _mm_cvtpd_ps(_mm_div_pd(one, a.hi)));
+  }
 };
 
 #endif  // __SSE2__
@@ -245,6 +273,24 @@ struct VAvx2 {
   }
   static void DStore(const Dacc& acc, double* out) {
     _mm256_storeu_pd(out, acc.acc);
+  }
+
+  struct DV {
+    __m256d lo;  // lanes 0..3
+    __m256d hi;  // lanes 4..7
+  };
+  static DV DZeroV() { return {_mm256_setzero_pd(), _mm256_setzero_pd()}; }
+  static DV DWiden(V v) {
+    return {_mm256_cvtps_pd(_mm256_castps256_ps128(v)),
+            _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1))};
+  }
+  static DV DAdd(DV a, DV b) {
+    return {_mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi)};
+  }
+  static V DRecip(DV a) {
+    const __m256d one = _mm256_set1_pd(1.0);
+    return _mm256_set_m128(_mm256_cvtpd_ps(_mm256_div_pd(one, a.hi)),
+                           _mm256_cvtpd_ps(_mm256_div_pd(one, a.lo)));
   }
 };
 

@@ -193,6 +193,20 @@ Env MakeEnv(uint64_t seed = 8) {
   return {std::move(ds).value(), *split};
 }
 
+// The serve entry point (PredictSampleInto: the fused pass for the full
+// J = 1 model, the graph path otherwise) equals Predict bit for bit.
+void ExpectServeMatchesPredict(EalgapForecaster& model, const Env& env) {
+  for (int64_t step = env.split.test_begin; step < env.split.test_end;
+       step += 7) {
+    auto graph = model.Predict(env.dataset, step);
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    std::vector<double> served;
+    ASSERT_TRUE(
+        model.PredictSampleInto(env.dataset.MakeSample(step), &served).ok());
+    ASSERT_EQ(served, *graph) << "step " << step;
+  }
+}
+
 class EalgapVariantTest : public ::testing::TestWithParam<EalgapOptions> {};
 
 TEST_P(EalgapVariantTest, TrainsAndPredictsSanely) {
@@ -213,6 +227,21 @@ TEST_P(EalgapVariantTest, TrainsAndPredictsSanely) {
     EXPECT_TRUE(std::isfinite(p));
   }
   EXPECT_LT(stats::ErrorRate(pred, truth), 0.5);
+  ExpectServeMatchesPredict(model, env);
+}
+
+TEST(EalgapTest, AttentionDimTwoServesLikePredict) {
+  // J > 1 keeps the graph path for serving too.
+  Env env = MakeEnv();
+  EalgapOptions options;
+  options.attention_dim = 2;
+  EalgapForecaster model(options);
+  TrainConfig train;
+  train.epochs = 2;
+  train.learning_rate = 3e-3f;
+  train.seed = 13;
+  ASSERT_TRUE(model.Fit(env.dataset, env.split, train).ok());
+  ExpectServeMatchesPredict(model, env);
 }
 
 EalgapOptions Full() { return {}; }
@@ -226,6 +255,13 @@ EalgapOptions ExtremeOnly() {
   o.use_global_attention = false;
   return o;
 }
+EalgapOptions MlpOnly() {
+  // Neither module: the MLP global path with the ReLU output.
+  EalgapOptions o;
+  o.use_global_attention = false;
+  o.use_extreme = false;
+  return o;
+}
 EalgapOptions NormalFamily() {
   EalgapOptions o;
   o.family = stats::DistributionFamily::kNormal;
@@ -234,7 +270,7 @@ EalgapOptions NormalFamily() {
 
 INSTANTIATE_TEST_SUITE_P(Variants, EalgapVariantTest,
                          ::testing::Values(Full(), GlobalOnly(), ExtremeOnly(),
-                                           NormalFamily()));
+                                           NormalFamily(), MlpOnly()));
 
 TEST(EalgapTest, BeatsHistoricalAverageOnTurbulentSeries) {
   // A series whose AR(1) turbulence dominates the daily cycle: the

@@ -8,12 +8,16 @@
 // under the batched PredictMany entry point.
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/ealgap.h"
@@ -21,6 +25,7 @@
 #include "core/rollout.h"
 #include "data/dataset.h"
 #include "serve/online_predictor.h"
+#include "tensor/kernels.h"
 
 namespace ealgap {
 namespace {
@@ -392,6 +397,238 @@ TEST_F(ServeParityTest, CreateRejectsBadArgumentsAndModels) {
   auto p = OnlinePredictor::Create(model_, *dataset_, split_->test_begin);
   ASSERT_TRUE(p.ok());
   EXPECT_FALSE(p->Observe({1.0}).ok());
+}
+
+
+// --- fused serve pass vs graph path -----------------------------------------
+//
+// EalgapForecaster::PredictSampleInto serves through one fused pass per
+// block of regions (KernelTable::ealgap_serve_rows); Predict() stays on the
+// graph path. They must agree bit for bit at region counts around the
+// 1/4/8-lane block widths, under every backend and thread count, on normal
+// and event-day windows, and right after the parameters change in place.
+
+constexpr int kEventDays = 30;
+constexpr int kSurgeDay = 22;     // every region at 4x its usual demand
+constexpr int kSilentFrom = 18;   // region 0 reads exactly 0 from this day
+constexpr int kSilentUntil = 26;  // ... up to this one (exclusive)
+
+// MakeTestSeries plus two kinds of event day: a citywide surge, and a run
+// of exact-zero days in region 0 whose matched statistics reach sigma = 0.
+data::MobilitySeries MakeEventSeries(int regions) {
+  data::MobilitySeries series = MakeTestSeries(regions, kEventDays, 5);
+  const int64_t steps = series.counts.dim(1);
+  float* p = series.counts.data();
+  for (int r = 0; r < regions; ++r) {
+    for (int64_t s = kSurgeDay * 24; s < (kSurgeDay + 1) * 24; ++s) {
+      p[r * steps + s] *= 4.f;
+    }
+  }
+  for (int64_t s = kSilentFrom * 24; s < kSilentUntil * 24; ++s) p[s] = 0.f;
+  return series;
+}
+
+struct FusedCase {
+  data::SlidingWindowDataset dataset;
+  data::StepRanges split;
+  std::unique_ptr<core::EalgapForecaster> model;
+};
+
+class FusedServeParityTest : public ::testing::Test {
+ protected:
+  /// A trained EALGAP per region count, built on first use and shared.
+  static FusedCase& Case(int regions) {
+    static std::map<int, std::unique_ptr<FusedCase>> cases;
+    std::unique_ptr<FusedCase>& c = cases[regions];
+    if (c == nullptr) {
+      data::DatasetOptions options;
+      options.history_length = 5;
+      options.num_windows = 3;
+      options.norm_history = 3;
+      auto ds = data::SlidingWindowDataset::Create(MakeEventSeries(regions),
+                                                   options);
+      EALGAP_CHECK(ds.ok()) << ds.status().ToString();
+      auto split = data::MakeChronoSplit(*ds);
+      EALGAP_CHECK(split.ok()) << split.status().ToString();
+      c = std::make_unique<FusedCase>(
+          FusedCase{std::move(ds).value(), *split,
+                    std::make_unique<core::EalgapForecaster>()});
+      TrainConfig train;
+      train.epochs = 1;
+      train.learning_rate = 3e-3f;
+      train.seed = 17;
+      EALGAP_CHECK(c->model->Fit(c->dataset, c->split, train).ok());
+    }
+    return *c;
+  }
+
+  /// Normal test-range steps plus steps on and after both event days.
+  static std::vector<int64_t> Steps(const FusedCase& c) {
+    return {c.split.test_begin,
+            c.split.test_begin + 7,
+            kSurgeDay * 24 + 9,
+            kSurgeDay * 24 + 18,
+            (kSurgeDay + 1) * 24 + 2,
+            kSilentUntil * 24 - 3,
+            kSilentUntil * 24 + 4,
+            c.dataset.series().total_steps() - 1};
+  }
+
+  static std::vector<double> Fused(core::EalgapForecaster& model,
+                                   const data::SlidingWindowDataset& dataset,
+                                   int64_t step) {
+    std::vector<double> out;
+    EXPECT_TRUE(model.PredictSampleInto(dataset.MakeSample(step), &out).ok());
+    return out;
+  }
+
+  static std::vector<double> Graph(core::EalgapForecaster& model,
+                                   const data::SlidingWindowDataset& dataset,
+                                   int64_t step) {
+    auto out = model.Predict(dataset, step);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return out.ok() ? *out : std::vector<double>{};
+  }
+};
+
+// Bit equality of doubles that may be +-0 or huge: compare bit patterns.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST_F(FusedServeParityTest,
+       MatchesGraphAtEveryBlockShapeBackendAndThreadCount) {
+  const kernels::Backend saved_backend = kernels::ActiveBackend();
+  const int saved_threads = GetNumThreads();
+  for (int regions : {1, 3, 4, 7, 8, 9, 20, 1000}) {
+    FusedCase& c = Case(regions);
+    for (int64_t step : Steps(c)) {
+      std::vector<double> first;
+      for (kernels::Backend b : {kernels::Backend::kScalar,
+                                 kernels::Backend::kSse2,
+                                 kernels::Backend::kAvx2}) {
+        if (!kernels::BackendSupported(b)) continue;
+        kernels::SetBackendForTesting(b);
+        for (int threads : {1, 4}) {
+          SetNumThreads(threads);
+          const std::vector<double> fused = Fused(*c.model, c.dataset, step);
+          const std::vector<double> graph = Graph(*c.model, c.dataset, step);
+          ASSERT_EQ(fused.size(), static_cast<size_t>(regions));
+          ASSERT_TRUE(SameBits(fused, graph))
+              << "N=" << regions << " step " << step << " backend "
+              << kernels::BackendName(b) << " threads " << threads;
+          if (first.empty()) first = fused;
+          ASSERT_TRUE(SameBits(fused, first))
+              << "N=" << regions << " step " << step << " backend "
+              << kernels::BackendName(b) << " threads " << threads
+              << " differs from the first backend";
+        }
+      }
+    }
+  }
+  kernels::SetBackendForTesting(saved_backend);
+  SetNumThreads(saved_threads);
+}
+
+TEST_F(FusedServeParityTest, MatchesGraphAtNonDefaultWidths) {
+  // L, FC and GRU widths other than 5/32/16 take the kernel's runtime-size
+  // instantiation.
+  data::DatasetOptions options;
+  options.history_length = 7;
+  options.num_windows = 2;
+  options.norm_history = 3;
+  auto ds = data::SlidingWindowDataset::Create(MakeEventSeries(11), options);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  auto split = data::MakeChronoSplit(*ds);
+  ASSERT_TRUE(split.ok());
+  core::EalgapOptions widths;
+  widths.hidden = 6;
+  widths.gru_hidden = 5;
+  core::EalgapForecaster model(widths);
+  TrainConfig train;
+  train.epochs = 1;
+  train.learning_rate = 3e-3f;
+  train.seed = 19;
+  ASSERT_TRUE(model.Fit(*ds, *split, train).ok());
+  for (int64_t step = split->test_begin; step < split->test_end; step += 5) {
+    ASSERT_TRUE(SameBits(Fused(model, *ds, step), Graph(model, *ds, step)))
+        << "step " << step;
+  }
+}
+
+TEST_F(FusedServeParityTest, FixtureReachesBiasesAndExtremeWindows) {
+  // The parity sweep means something only if every bias add adds a
+  // non-zero value, and the event days put the pass where it matters: a
+  // surge far from the matched mean, and sigma = 0 where only the epsilon
+  // floor keeps Eq. 9 finite.
+  FusedCase& c = Case(20);
+  auto params = c.model->CaptureParams();
+  ASSERT_TRUE(params.ok());
+  int biases = 0;
+  for (const auto& [name, value] : *params) {
+    if (name.size() < 5 || name.substr(name.size() - 5) != ".bias") continue;
+    ++biases;
+    bool nonzero = false;
+    for (int64_t i = 0; i < value.numel(); ++i) {
+      nonzero = nonzero || value.data()[i] != 0.f;
+    }
+    EXPECT_TRUE(nonzero) << name << " is all zero";
+  }
+  EXPECT_EQ(biases, 10);  // dec1..3, pred1..3, the three gates, the head
+  const data::WindowSample surge = c.dataset.MakeSample(kSurgeDay * 24 + 18);
+  const data::WindowSample silent = c.dataset.MakeSample(kSilentUntil * 24 - 3);
+  bool zero_sigma = false;
+  for (int64_t i = 0; i < silent.f_sigma.numel(); ++i) {
+    zero_sigma = zero_sigma || silent.f_sigma.data()[i] == 0.f;
+  }
+  EXPECT_TRUE(zero_sigma);
+  double surge_sum = 0.0, base_sum = 0.0;
+  const data::WindowSample base = c.dataset.MakeSample(c.split.test_begin);
+  for (int64_t i = 0; i < surge.x.numel(); ++i) {
+    surge_sum += surge.x.data()[i];
+    base_sum += base.x.data()[i];
+  }
+  EXPECT_GT(surge_sum, 2.0 * base_sum);
+  for (const data::WindowSample* s : {&surge, &silent}) {
+    std::vector<double> out;
+    ASSERT_TRUE(c.model->PredictSampleInto(*s, &out).ok());
+    for (double v : out) EXPECT_TRUE(std::isfinite(v));
+  }
+}
+
+TEST_F(FusedServeParityTest, ReadsLiveWeightsAfterInPlaceChanges) {
+  FusedCase& c = Case(20);
+  const std::string ckpt = ::testing::TempDir() + "/fused_parity.ckpt";
+  ASSERT_TRUE(c.model->SaveCheckpoint(ckpt).ok());
+  core::EalgapForecaster model;
+  ASSERT_TRUE(model.LoadCheckpoint(ckpt).ok());
+  const int64_t step = kSurgeDay * 24 + 18;
+  const std::vector<double> before = Fused(model, c.dataset, step);
+  ASSERT_TRUE(SameBits(before, Graph(*c.model, c.dataset, step)));
+
+  // An adaptation commit: a bounded SGD fine-tune writes every parameter
+  // in place.
+  std::vector<data::WindowSample> samples;
+  for (int64_t s = c.split.test_begin; s < c.split.test_begin + 8; ++s) {
+    samples.push_back(c.dataset.MakeSample(s));
+  }
+  NeuralForecaster::MicroFitConfig fit;
+  fit.learning_rate = 5e-2f;
+  ASSERT_TRUE(model.MicroFit(samples, fit).ok());
+  const std::vector<double> adapted = Fused(model, c.dataset, step);
+  EXPECT_FALSE(SameBits(adapted, before)) << "fine-tune left outputs unchanged";
+  EXPECT_TRUE(SameBits(adapted, Graph(model, c.dataset, step)));
+
+  // A RestoreParams rollback, then a LoadCheckpoint over the live model.
+  auto snapshot = model.CaptureParams();
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_TRUE(model.MicroFit(samples, fit).ok());
+  ASSERT_TRUE(model.RestoreParams(*snapshot).ok());
+  EXPECT_TRUE(SameBits(Fused(model, c.dataset, step), adapted));
+  ASSERT_TRUE(model.LoadCheckpoint(ckpt).ok());
+  EXPECT_TRUE(SameBits(Fused(model, c.dataset, step), before));
+  EXPECT_TRUE(SameBits(Graph(model, c.dataset, step), before));
 }
 
 }  // namespace

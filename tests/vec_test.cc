@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -307,6 +308,169 @@ TEST(VecParity, NanInfPropagation) {
                          float*) { t.relu_ip(a, n); });
     check("clamp_ip", [n](const KernelTable& t, float* a, const float*,
                           float*) { t.clamp_ip(a, -1.f, 1.f, n); });
+  }
+}
+
+
+// --- fused EALGAP serve pass -------------------------------------------------
+
+// One ealgap_serve_rows problem: weights shared by every region, per-region
+// rows drawn at random, with special values planted by region index.
+struct ServeInputs {
+  int64_t n = 0, l = 0, m = 0, hidden = 0, gru = 0;
+  std::vector<float> x, f, f_mu, f_sigma, wqkv, gamma, epsilon;
+  std::vector<float> pred_w[3], pred_b[3];
+  std::vector<float> gate_wx[3], gate_b[3], gate_wh[3];
+  std::vector<float> head_w, head_b;
+
+  kernels::EalgapServeArgs Args(double* out) const {
+    kernels::EalgapServeArgs a;
+    a.n = n;
+    a.l = l;
+    a.m = m;
+    a.hidden = hidden;
+    a.gru = gru;
+    a.x = x.data();
+    a.f = f.data();
+    a.f_mu = f_mu.data();
+    a.f_sigma = f_sigma.data();
+    a.inv_scale = 0.25f;
+    a.scale = 4.f;
+    a.wqkv = wqkv.data();
+    for (int i = 0; i < 3; ++i) {
+      a.pred_w[i] = pred_w[i].data();
+      a.pred_b[i] = pred_b[i].data();
+      a.gate_wx[i] = gate_wx[i].data();
+      a.gate_b[i] = gate_b[i].data();
+      a.gate_wh[i] = gate_wh[i].data();
+    }
+    a.gamma = gamma.data();
+    a.epsilon = epsilon.data();
+    a.head_w = head_w.data();
+    a.head_b = head_b.data();
+    a.out = out;
+    return a;
+  }
+};
+
+// Region r % 6 selects the planted case:
+//  0: x = 0 against negative q/k/v weights (the sign of 0 + q*k);
+//  1: logits of +-88, at the edge of exp's range;
+//  2: sigma = 0 with x != mu, so only the epsilon floor keeps Eq. 9 finite;
+//  3: sigma = 0 and x == mu;
+//  4, 5: random rows.
+// `gate_scale` scales the GRU weights and biases: large values saturate
+// the sigmoid/tanh gates.
+ServeInputs MakeServeInputs(int64_t n, int64_t l, int64_t hidden, int64_t gru,
+                            float gate_scale) {
+  Rng rng(static_cast<uint64_t>(n * 1000 + l * 10 + hidden));
+  auto fill = [&rng](int64_t count, double lo, double hi) {
+    std::vector<float> v(count);
+    for (float& e : v) e = static_cast<float>(rng.Uniform(lo, hi));
+    return v;
+  };
+  ServeInputs in;
+  in.n = n;
+  in.l = l;
+  in.m = 3;
+  in.hidden = hidden;
+  in.gru = gru;
+  in.x = fill(n * l, 0.0, 6.0);
+  in.f = fill(in.m * n * l, 0.0, 40.0);
+  in.f_mu = fill(in.m * n * l, 0.0, 40.0);
+  in.f_sigma = fill(in.m * n * l, 0.0, 12.0);
+  in.wqkv = fill(n * 3, -2.0, 2.0);
+  in.gamma = fill(n, -3.0, 3.0);
+  in.epsilon = fill(n, -0.05, 0.05);
+  const int64_t pred_in[3] = {l, hidden, hidden};
+  const int64_t pred_out[3] = {hidden, hidden, 1};
+  for (int i = 0; i < 3; ++i) {
+    in.pred_w[i] = fill(pred_in[i] * pred_out[i], -0.8, 0.8);
+    in.pred_b[i] = fill(pred_out[i], -0.5, 0.5);
+    in.gate_wx[i] = fill(l * gru, -gate_scale, gate_scale);
+    in.gate_b[i] = fill(gru, -gate_scale, gate_scale);
+    in.gate_wh[i] = fill(gru * gru, -gate_scale, gate_scale);
+  }
+  in.head_w = fill(gru, -1.0, 1.0);
+  in.head_b = fill(1, -0.5, 0.5);
+  const float kSat = std::sqrt(88.f);
+  for (int64_t r = 0; r < n; ++r) {
+    float* xr = in.x.data() + r * l;
+    float* w = in.wqkv.data() + r * 3;
+    switch (r % 6) {
+      case 0:
+        std::fill(xr, xr + l, 0.f);
+        w[0] = -0.75f;
+        w[1] = -1.25f;
+        w[2] = -0.5f;
+        break;
+      case 1:
+        for (int64_t j = 0; j < l; ++j) xr[j] = j % 2 == 0 ? kSat : -kSat;
+        w[0] = 1.f;
+        w[1] = 1.f;
+        break;
+      case 2:
+      case 3:
+        for (int64_t mw = 0; mw < in.m; ++mw) {
+          const int64_t base = (mw * n + r) * l;
+          std::fill(in.f_sigma.begin() + base, in.f_sigma.begin() + base + l,
+                    0.f);
+          if (r % 6 == 3) {
+            std::copy(in.f.begin() + base, in.f.begin() + base + l,
+                      in.f_mu.begin() + base);
+          }
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  return in;
+}
+
+uint64_t Bits64(double x) {
+  uint64_t u;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+// The fused pass must give the scalar table's bits in every table, for
+// every block remainder (N = 1..19 from several starting regions), and for
+// any split of the region range into calls (ParallelFor chunks).
+TEST(VecParity, EalgapServeRows) {
+  struct Shape3 {
+    int64_t l, hidden, gru;
+  };
+  for (const Shape3 shape : {Shape3{5, 32, 16}, Shape3{9, 6, 5},
+                             Shape3{17, 3, 2}}) {
+    for (float gate_scale : {0.5f, 40.f}) {
+      for (int64_t n = 1; n <= 19; ++n) {
+        const ServeInputs in =
+            MakeServeInputs(n, shape.l, shape.hidden, shape.gru, gate_scale);
+        std::vector<double> ref(n, -1.0);
+        const kernels::EalgapServeArgs ref_args = in.Args(ref.data());
+        Scalar().ealgap_serve_rows(ref_args, 0, n);
+        for (double v : ref) ASSERT_TRUE(std::isfinite(v) && v >= 0.0);
+        for (const NamedTable& alt : AltTables()) {
+          for (int64_t r0 : {0, 1, 3}) {
+            if (r0 >= n) continue;
+            std::vector<double> got(n, -1.0);
+            const kernels::EalgapServeArgs args = in.Args(got.data());
+            const int64_t mid = r0 + (n - r0) / 2;
+            alt.t->ealgap_serve_rows(args, r0, mid);
+            alt.t->ealgap_serve_rows(args, mid, n);
+            for (int64_t r = r0; r < n; ++r) {
+              ASSERT_EQ(Bits64(ref[r]), Bits64(got[r]))
+                  << "ealgap_serve_rows [" << alt.name << "] L=" << shape.l
+                  << " hidden=" << shape.hidden << " gru=" << shape.gru
+                  << " gate_scale=" << gate_scale << " n=" << n
+                  << " from " << r0 << ": region " << r << " (case "
+                  << r % 6 << ") scalar=" << ref[r] << " simd=" << got[r];
+            }
+          }
+        }
+      }
+    }
   }
 }
 
