@@ -30,8 +30,9 @@ class ScopedThreads {
 };
 
 /// Pins a SIMD backend for one run; the *Simd benches sweep every backend
-/// the host supports so the JSON records the scalar/sse2/avx2 curve of the
-/// kernel layer directly. Skips (rather than fails) on hosts that lack one.
+/// the host supports so the JSON records the scalar/sse2/avx2/avx512 curve
+/// of the kernel layer directly. Skips (rather than fails) on hosts that
+/// lack one.
 class ScopedBackend {
  public:
   ScopedBackend(benchmark::State& state, kernels::Backend b)
@@ -53,7 +54,7 @@ class ScopedBackend {
 
 constexpr kernels::Backend kBackends[] = {
     kernels::Backend::kScalar, kernels::Backend::kSse2,
-    kernels::Backend::kAvx2};
+    kernels::Backend::kAvx2, kernels::Backend::kAvx512};
 
 void BM_MatMul(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -169,7 +170,7 @@ void BM_MatMulSimd(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
-BENCHMARK(BM_MatMulSimd)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_MatMulSimd)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_ElementwiseAddSimd(benchmark::State& state) {
   ScopedBackend backend(state, kBackends[state.range(0)]);
@@ -189,7 +190,7 @@ void BM_ElementwiseAddSimd(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kN);
 }
-BENCHMARK(BM_ElementwiseAddSimd)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ElementwiseAddSimd)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_SoftmaxSimd(benchmark::State& state) {
   ScopedBackend backend(state, kBackends[state.range(0)]);
@@ -202,7 +203,7 @@ void BM_SoftmaxSimd(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 4096 * 64);
 }
-BENCHMARK(BM_SoftmaxSimd)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SoftmaxSimd)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_ExpSimd(benchmark::State& state) {
   ScopedBackend backend(state, kBackends[state.range(0)]);
@@ -215,7 +216,7 @@ void BM_ExpSimd(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * (1 << 18));
 }
-BENCHMARK(BM_ExpSimd)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ExpSimd)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_TanhSimd(benchmark::State& state) {
   ScopedBackend backend(state, kBackends[state.range(0)]);
@@ -228,7 +229,7 @@ void BM_TanhSimd(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * (1 << 18));
 }
-BENCHMARK(BM_TanhSimd)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_TanhSimd)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_SigmoidSimd(benchmark::State& state) {
   ScopedBackend backend(state, kBackends[state.range(0)]);
@@ -241,7 +242,7 @@ void BM_SigmoidSimd(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * (1 << 18));
 }
-BENCHMARK(BM_SigmoidSimd)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SigmoidSimd)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_BatchedMatMul(benchmark::State& state) {
   Rng rng(1);

@@ -21,21 +21,24 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
 
-echo "===== tier-1: build + full test suite (scalar, SSE2 + native SIMD) ====="
+echo "===== tier-1: build + full test suite (scalar, SSE2, AVX2 + native SIMD) ====="
 # -Werror: the tree builds warning-free, and this keeps it that way.
 cmake -B "$BUILD_DIR" -S . -G Ninja -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j
-# The whole suite runs three times: pinned to the scalar kernel table,
-# pinned to SSE2, and on the widest ISA the host supports. The
-# golden/determinism tests compare against the same fixtures every time —
-# this is the kernel-layer bit-identity contract enforced end to end. The
-# SSE2 pass is the one that runs the fused serve pass's 4-lane blocks end
-# to end on an AVX2 host.
-echo "----- tier-1 pass 1/3: EALGAP_SIMD=scalar -----"
+# The whole suite runs four times: pinned to the scalar kernel table,
+# pinned to SSE2, pinned to AVX2, and on the widest ISA the host supports.
+# The golden/determinism tests compare against the same fixtures every
+# time — this is the kernel-layer bit-identity contract enforced end to
+# end. The pinned passes run the fused serve pass's 4- and 8-lane blocks
+# end to end on a host whose native table is wider. A pinned table the
+# host lacks falls back to the widest supported one with a warning.
+echo "----- tier-1 pass 1/4: EALGAP_SIMD=scalar -----"
 EALGAP_SIMD=scalar ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
-echo "----- tier-1 pass 2/3: EALGAP_SIMD=sse2 -----"
+echo "----- tier-1 pass 2/4: EALGAP_SIMD=sse2 -----"
 EALGAP_SIMD=sse2 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
-echo "----- tier-1 pass 3/3: native SIMD dispatch -----"
+echo "----- tier-1 pass 3/4: EALGAP_SIMD=avx2 -----"
+EALGAP_SIMD=avx2 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+echo "----- tier-1 pass 4/4: native SIMD dispatch -----"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 echo "===== fault stage: serve tests with injection armed ====="

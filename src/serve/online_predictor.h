@@ -277,10 +277,14 @@ class OnlinePredictor {
   /// single-stream objects (PredictMany fans out across predictors, never
   /// within one), so unsynchronized scratch is safe.
   mutable std::vector<const float*> slot_rows_;
+  /// PredictNextInto's ring offsets: M * L window rows, then M next-step
+  /// rows.
+  std::vector<int64_t> ring_rows_;
 
   /// Per-predictor scratch arena: every tensor and autograd node of a
   /// PredictNextInto forward lands here and is rewound when the call
-  /// returns.
+  /// returns. Its first slab is sized from the (N, L, M) sample (see
+  /// InitScratch).
   std::unique_ptr<Arena> arena_;
 
   GuardPolicy guard_policy_;

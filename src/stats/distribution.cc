@@ -1,5 +1,6 @@
 #include "stats/distribution.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -93,34 +94,57 @@ double NormalDistribution::LogLikelihood(
 Tensor RowwisePdf(const Tensor& x, DistributionFamily family) {
   EALGAP_CHECK_EQ(x.ndim(), 2);
   const int64_t n = x.dim(0), l = x.dim(1);
-  const kernels::KernelTable& t = kernels::Active();
   Tensor z(x.shape());
+  if (n == 0) return z;
+  EALGAP_CHECK_GT(l, 0) << "distribution fit on empty sample";
   const float* px = x.data();
   float* pz = z.data();
-  // Reused across calls: RowwisePdf sits on the per-step serve path, where
-  // a fresh row buffer every call would be the only heap allocation left.
-  static thread_local std::vector<double> row;
-  row.resize(l);
-  // Parameter fits stay in double (exact per row); the per-element PDF
-  // evaluation runs on the float32 SIMD kernels — bit-identical across
-  // backends by the kernel-layer contract.
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < l; ++j) row[j] = px[i * l + j];
-    if (family == DistributionFamily::kExponential) {
-      auto fit = ExponentialDistribution::Fit(row);
-      EALGAP_CHECK(fit.ok()) << fit.status().ToString();
-      t.exp_pdf_row(px + i * l, static_cast<float>(fit->lambda()), pz + i * l,
-                    l);
-    } else {
-      auto fit = NormalDistribution::Fit(row);
-      EALGAP_CHECK(fit.ok()) << fit.status().ToString();
-      const double stddev = fit->stddev();
-      t.normal_pdf_row(px + i * l, static_cast<float>(fit->mean()),
-                       static_cast<float>(1.0 / stddev),
-                       static_cast<float>(1.0 / (stddev * std::sqrt(2.0 * M_PI))),
-                       pz + i * l, l);
+  const kernels::KernelTable& t = kernels::Active();
+  // Each row's fit runs in double exactly as Fit does (same sums in the
+  // same order, same floors) and aborts where Fit or the distribution
+  // constructor would; its float parameters are broadcast over the row, and
+  // one kernel call then evaluates all N*L densities, each element rounding
+  // as the per-row kernel does.
+  if (family == DistributionFamily::kExponential) {
+    for (int64_t i = 0; i < n; ++i) {
+      const float* row = px + i * l;
+      double sum = 0.0;
+      for (int64_t j = 0; j < l; ++j) {
+        const double v = row[j];
+        EALGAP_CHECK(!(v < 0.0)) << "exponential fit on negative value";
+        sum += v;
+      }
+      const double lambda =
+          1.0 / std::max(sum / static_cast<double>(l), kMinMean);
+      EALGAP_CHECK_GT(lambda, 0.0);  // NaN or +inf input
+      std::fill(pz + i * l, pz + (i + 1) * l, static_cast<float>(lambda));
     }
+    t.exp_pdf(px, pz, pz, n * l);  // rates in place
+    return z;
   }
+  Tensor mean(x.shape()), inv_stddev(x.shape());
+  float* pm = mean.data();
+  float* pinv = inv_stddev.data();
+  for (int64_t i = 0; i < n; ++i) {
+    const float* row = px + i * l;
+    double sum = 0.0;
+    for (int64_t j = 0; j < l; ++j) sum += row[j];
+    const double mu = sum / static_cast<double>(l);
+    double ss = 0.0;
+    for (int64_t j = 0; j < l; ++j) {
+      const double d = row[j] - mu;
+      ss += d * d;
+    }
+    const double stddev =
+        std::max(std::sqrt(ss / static_cast<double>(l)), kMinStddev);
+    EALGAP_CHECK_GT(stddev, 0.0);  // NaN or inf input
+    const int64_t b = i * l, e = b + l;
+    std::fill(pm + b, pm + e, static_cast<float>(mu));
+    std::fill(pinv + b, pinv + e, static_cast<float>(1.0 / stddev));
+    std::fill(pz + b, pz + e,
+              static_cast<float>(1.0 / (stddev * std::sqrt(2.0 * M_PI))));
+  }
+  t.normal_pdf(px, pm, pinv, pz, pz, n * l);  // norms in place
   return z;
 }
 

@@ -10,10 +10,12 @@
 namespace ealgap {
 namespace kernels {
 
-// Defined in kernels_{scalar,sse2,avx2}.cc; null when not compiled in.
+// Defined in kernels_{scalar,sse2,avx2,avx512}.cc; null when not compiled
+// in.
 const KernelTable* GetScalarTable();
 const KernelTable* GetSse2Table();
 const KernelTable* GetAvx2Table();
+const KernelTable* GetAvx512Table();
 
 namespace {
 
@@ -25,6 +27,8 @@ const KernelTable* TableOrNull(Backend b) {
       return GetSse2Table();
     case Backend::kAvx2:
       return GetAvx2Table();
+    case Backend::kAvx512:
+      return GetAvx512Table();
   }
   return nullptr;
 }
@@ -47,11 +51,19 @@ bool CpuSupports(Backend b) {
 #else
       return false;
 #endif
+    case Backend::kAvx512:
+#if defined(__x86_64__) || defined(__amd64__) || defined(__i386__)
+      return __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512dq");
+#else
+      return false;
+#endif
   }
   return false;
 }
 
 Backend BestSupported() {
+  if (BackendSupported(Backend::kAvx512)) return Backend::kAvx512;
   if (BackendSupported(Backend::kAvx2)) return Backend::kAvx2;
   if (BackendSupported(Backend::kSse2)) return Backend::kSse2;
   return Backend::kScalar;
@@ -71,9 +83,11 @@ Backend ResolveStartupBackend() {
     want = Backend::kSse2;
   } else if (std::strcmp(env, "avx2") == 0) {
     want = Backend::kAvx2;
+  } else if (std::strcmp(env, "avx512") == 0) {
+    want = Backend::kAvx512;
   } else {
     EALGAP_CHECK(false) << "EALGAP_SIMD='" << env
-                        << "' is not one of scalar|sse2|avx2";
+                        << "' is not one of scalar|sse2|avx2|avx512";
     return BestSupported();  // unreachable
   }
   if (!BackendSupported(want)) {
@@ -107,6 +121,8 @@ const char* BackendName(Backend b) {
       return "sse2";
     case Backend::kAvx2:
       return "avx2";
+    case Backend::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }

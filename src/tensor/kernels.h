@@ -4,13 +4,13 @@
 /// SIMD kernel layer with runtime dispatch.
 ///
 /// Every hot inner loop of tensor/ops.cc (and the distribution-PDF rows of
-/// stats/) goes through a KernelTable of raw float-pointer kernels. Three
-/// tables exist — scalar, SSE2, AVX2 — compiled from the SAME templates
-/// (kernels_impl.h over the backends in vec.h), so every kernel is
-/// bit-identical across tables; dispatch picks the widest table the CPU
+/// stats/) goes through a KernelTable of raw float-pointer kernels. Four
+/// tables exist — scalar, SSE2, AVX2, AVX-512 — compiled from the SAME
+/// templates (kernels_impl.h over the backends in vec.h), so every kernel
+/// is bit-identical across tables; dispatch picks the widest table the CPU
 /// supports at first use.
 ///
-/// Override for testing/debugging with EALGAP_SIMD=scalar|sse2|avx2:
+/// Override for testing/debugging with EALGAP_SIMD=scalar|sse2|avx2|avx512:
 ///  - an unknown value aborts (catches typos in CI),
 ///  - a known value the CPU/build cannot run falls back to the best
 ///    supported table with a warning (results are identical either way).
@@ -20,9 +20,9 @@
 namespace ealgap {
 namespace kernels {
 
-enum class Backend { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class Backend { kScalar = 0, kSse2 = 1, kAvx2 = 2, kAvx512 = 3 };
 
-/// "scalar", "sse2", "avx2".
+/// "scalar", "sse2", "avx2", "avx512".
 const char* BackendName(Backend b);
 
 /// Largest L, FC width and GRU width the fused EALGAP serve kernel holds
@@ -123,6 +123,14 @@ struct KernelTable {
   /// out[i] = inv_norm * exp(-0.5 * ((x[i]-mean) * inv_stddev)^2)
   void (*normal_pdf_row)(const float* x, float mean, float inv_stddev,
                          float inv_norm, float* o, int64_t n);
+  /// The two rows above with one parameter per element (lambda[i], ...),
+  /// so a whole (N, L) matrix of per-row fits is one call; element i is
+  /// bit-identical to the row kernel given that element's parameters. `o`
+  /// may alias a parameter array.
+  void (*exp_pdf)(const float* x, const float* lambda, float* o, int64_t n);
+  void (*normal_pdf)(const float* x, const float* mean,
+                     const float* inv_stddev, const float* inv_norm, float* o,
+                     int64_t n);
 
   /// Rows [i0, i1) of the (m,k)x(k,n) product accumulated into po (callers
   /// zero-initialize). Vectorized across output columns; each output

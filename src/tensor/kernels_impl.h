@@ -2,8 +2,10 @@
 #define EALGAP_TENSOR_KERNELS_IMPL_H_
 
 /// Generic kernel bodies, templated on a vec.h backend. Each backend TU
-/// (kernels_{scalar,sse2,avx2}.cc) instantiates MakeTable<B>() once; the
-/// TU carries the ISA compile flags, this header carries the algorithms.
+/// (kernels_{scalar,sse2,avx2,avx512}.cc) instantiates MakeTable<B>() once;
+/// the TU carries the ISA compile flags, this header carries the
+/// algorithms. Like vec.h, everything here has internal linkage, so every
+/// instantiation stays inside the TU compiled for its ISA.
 ///
 /// Determinism rules every kernel here follows (see vec.h for why this
 /// yields bit-identical results across backends, lane widths and threads):
@@ -27,6 +29,7 @@
 namespace ealgap {
 namespace kernels {
 namespace impl {
+namespace {
 
 using vec::VScalar;
 
@@ -79,8 +82,10 @@ struct OpSign {  // x > 0 ? 1 : (x < 0 ? -1 : 0); NaN/±0 -> 0
   template <class B>
   static typename B::V Run(typename B::V a) {
     const typename B::V zero = B::Set1(0.f);
-    const typename B::V pos = B::And(B::CmpGt(a, zero), B::Set1(1.f));
-    const typename B::V neg = B::And(B::CmpLt(a, zero), B::Set1(-1.f));
+    const typename B::V pos =
+        B::IfThenElseZero(B::CmpGt(a, zero), B::Set1(1.f));
+    const typename B::V neg =
+        B::IfThenElseZero(B::CmpLt(a, zero), B::Set1(-1.f));
     return B::Or(pos, neg);
   }
 };
@@ -93,7 +98,7 @@ struct OpSqrt {
 struct OpRelu {  // x > 0 ? x : 0 (NaN -> 0, matching the historical op)
   template <class B>
   static typename B::V Run(typename B::V a) {
-    return B::And(B::CmpGt(a, B::Set1(0.f)), a);
+    return B::IfThenElseZero(B::CmpGt(a, B::Set1(0.f)), a);
   }
 };
 struct OpExp {
@@ -308,6 +313,44 @@ void NormalPdfRow(const float* x, float mean, float inv_stddev, float inv_norm,
   for (; i < n; ++i) {
     const float z = (x[i] - mean) * inv_stddev;
     o[i] = inv_norm * vec::VExp<VScalar>(-0.5f * (z * z));
+  }
+}
+
+/// exp_pdf_row with a per-element rate: o[i] = x[i] < 0 ? 0 :
+/// lambda[i] * exp(-lambda[i] * x[i]). Element i rounds exactly as
+/// exp_pdf_row(x, lambda[i], ...) does; `o` may alias `lambda`.
+template <class B>
+void ExpPdf(const float* x, const float* lambda, float* o, int64_t n) {
+  const typename B::V zero = B::Set1(0.f);
+  int64_t i = 0;
+  for (; i + B::kWidth <= n; i += B::kWidth) {
+    const typename B::V v = B::Load(x + i);
+    const typename B::V lam = B::Load(lambda + i);
+    const typename B::V pdf =
+        B::Mul(lam, vec::VExp<B>(B::Mul(OpNeg::Run<B>(lam), v)));
+    B::Store(o + i, B::Select(B::CmpLt(v, zero), zero, pdf));
+  }
+  for (; i < n; ++i) {
+    const float pdf = lambda[i] * vec::VExp<VScalar>(-lambda[i] * x[i]);
+    o[i] = x[i] < 0.f ? 0.f : pdf;
+  }
+}
+
+/// normal_pdf_row with per-element parameters; `o` may alias any of them.
+template <class B>
+void NormalPdf(const float* x, const float* mean, const float* inv_stddev,
+               const float* inv_norm, float* o, int64_t n) {
+  const typename B::V vhalf = B::Set1(-0.5f);
+  int64_t i = 0;
+  for (; i + B::kWidth <= n; i += B::kWidth) {
+    const typename B::V z = B::Mul(B::Sub(B::Load(x + i), B::Load(mean + i)),
+                                   B::Load(inv_stddev + i));
+    const typename B::V e = vec::VExp<B>(B::Mul(vhalf, B::Mul(z, z)));
+    B::Store(o + i, B::Mul(B::Load(inv_norm + i), e));
+  }
+  for (; i < n; ++i) {
+    const float z = (x[i] - mean[i]) * inv_stddev[i];
+    o[i] = inv_norm[i] * vec::VExp<VScalar>(-0.5f * (z * z));
   }
 }
 
@@ -553,25 +596,27 @@ void EalgapServeBlock(const EalgapServeArgs& a, int64_t r) {
   }
 }
 
-/// Full blocks of B::kWidth regions, then the remainder one region at a
-/// time through the VScalar instantiation of the same block.
-template <class B, int64_t kL, int64_t kHidden, int64_t kGru>
+/// Full blocks of B::kWidth regions, then the remainder through the next
+/// narrower backend (B::Narrower: 16 -> 8 -> 1 on AVX-512, 8 -> 1 on
+/// AVX2, 4 -> 1 on SSE2). Every width repeats the same per-element order,
+/// and kTree stays the dispatching table's width throughout.
+template <class B, int kTree, int64_t kL, int64_t kHidden, int64_t kGru>
 void EalgapServeRange(const EalgapServeArgs& a, int64_t r0, int64_t r1) {
   int64_t r = r0;
   for (; r + B::kWidth <= r1; r += B::kWidth) {
-    EalgapServeBlock<B, B::kWidth, kL, kHidden, kGru>(a, r);
+    EalgapServeBlock<B, kTree, kL, kHidden, kGru>(a, r);
   }
-  for (; r < r1; ++r) {
-    EalgapServeBlock<VScalar, B::kWidth, kL, kHidden, kGru>(a, r);
+  if constexpr (B::kWidth > 1) {
+    EalgapServeRange<typename B::Narrower, kTree, kL, kHidden, kGru>(a, r, r1);
   }
 }
 
 template <class B>
 void EalgapServeRows(const EalgapServeArgs& a, int64_t r0, int64_t r1) {
   if (a.l == 5 && a.hidden == 32 && a.gru == 16) {
-    EalgapServeRange<B, 5, 32, 16>(a, r0, r1);
+    EalgapServeRange<B, B::kWidth, 5, 32, 16>(a, r0, r1);
   } else {
-    EalgapServeRange<B, 0, 0, 0>(a, r0, r1);
+    EalgapServeRange<B, B::kWidth, 0, 0, 0>(a, r0, r1);
   }
 }
 
@@ -612,12 +657,15 @@ KernelTable MakeTable(Backend backend) {
   t.softmax_row = &SoftmaxRow<B>;
   t.exp_pdf_row = &ExpPdfRow<B>;
   t.normal_pdf_row = &NormalPdfRow<B>;
+  t.exp_pdf = &ExpPdf<B>;
+  t.normal_pdf = &NormalPdf<B>;
   t.copy = &CopyK<B>;
   t.matmul_rows = &MatMulRows<B>;
   t.ealgap_serve_rows = &EalgapServeRows<B>;
   return t;
 }
 
+}  // namespace
 }  // namespace impl
 }  // namespace kernels
 }  // namespace ealgap

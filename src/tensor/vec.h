@@ -3,12 +3,23 @@
 
 /// Lane-width-generic SIMD abstraction + deterministic vector math.
 ///
-/// Three backends expose the same static interface — VScalar (1 lane),
+/// Four backends expose the same static interface — VScalar (1 lane),
 /// VSse2 (4 lanes, compiled when __SSE2__), VAvx2 (8 lanes, compiled when
-/// __AVX2__) — so every kernel in kernels_impl.h is written ONCE as a
-/// template and instantiated per backend (tensor/kernels_{scalar,sse2,
-/// avx2}.cc). The math functions VExp/VTanh/VSigmoid below are implemented
+/// __AVX2__), VAvx512 (16 lanes, compiled when __AVX512F__ and
+/// __AVX512DQ__) — so every kernel in kernels_impl.h is written ONCE as a
+/// template and instantiated per backend (tensor/kernels_{scalar,sse2,avx2,
+/// avx512}.cc). The math functions VExp/VTanh/VSigmoid below are implemented
 /// from the same algorithm in all backends.
+///
+/// Comparisons return the backend's mask type M: an all-ones/all-zeros
+/// vector V up to AVX2, an __mmask16 on AVX-512. Masks are consumed only by
+/// Select and IfThenElseZero.
+///
+/// Everything here has internal linkage (an unnamed namespace): each kernel
+/// TU compiles its own copy under its own ISA flags, so the linker can
+/// never merge, say, the AVX-512 TU's VExp<VAvx2> into the AVX2 table or the
+/// AVX2 TU's VExp<VScalar> into the scalar table, which would run
+/// instructions the host may not have.
 ///
 /// DETERMINISM CONTRACT. A kernel must produce bit-identical results in
 /// every backend, at every lane width, for any chunking of its input. The
@@ -40,6 +51,7 @@
 
 namespace ealgap {
 namespace vec {
+namespace {
 
 // --- scalar backend (always available; defines the reference semantics) ---
 
@@ -47,6 +59,7 @@ struct VScalar {
   static constexpr int kWidth = 1;
   using V = float;
   using VI = int32_t;
+  using M = V;
 
   static V Load(const float* p) { return *p; }
   static void Store(float* p, V v) { *p = v; }
@@ -81,11 +94,15 @@ struct VScalar {
 
   /// Comparison masks: all-ones when true, all-zeros when false (like
   /// cmpps). Unordered comparisons (NaN) are false except CmpNeq.
-  static V CmpLt(V a, V b) { return MaskOf(a < b); }
-  static V CmpGt(V a, V b) { return MaskOf(a > b); }
-  static V CmpNeq(V a, V b) { return MaskOf(!(a == b)); }
-  /// Bitwise select: mask lanes must be all-ones or all-zeros.
-  static V Select(V mask, V a, V b) { return Or(And(mask, a), AndNot(mask, b)); }
+  static M CmpLt(V a, V b) { return MaskOf(a < b); }
+  static M CmpGt(V a, V b) { return MaskOf(a > b); }
+  static M CmpNeq(V a, V b) { return MaskOf(!(a == b)); }
+  /// mask ? a : b per lane.
+  static V Select(M mask, V a, V b) {
+    return Or(And(mask, a), AndNot(mask, b));
+  }
+  /// mask ? a : +0 per lane.
+  static V IfThenElseZero(M mask, V a) { return And(mask, a); }
 
   /// Round to nearest (ties to even) for |x| < 2^22, as a float.
   static V RoundNearest(V x) {
@@ -140,6 +157,9 @@ struct VSse2 {
   static constexpr int kWidth = 4;
   using V = __m128;
   using VI = __m128i;
+  using M = V;
+  /// Remainder lanes of a blocked pass run at this width (EalgapServeRange).
+  using Narrower = VScalar;
 
   static V Load(const float* p) { return _mm_loadu_ps(p); }
   static void Store(float* p, V v) { _mm_storeu_ps(p, v); }
@@ -160,12 +180,13 @@ struct VSse2 {
   static V Or(V a, V b) { return _mm_or_ps(a, b); }
   static V Xor(V a, V b) { return _mm_xor_ps(a, b); }
 
-  static V CmpLt(V a, V b) { return _mm_cmplt_ps(a, b); }
-  static V CmpGt(V a, V b) { return _mm_cmpgt_ps(a, b); }
-  static V CmpNeq(V a, V b) { return _mm_cmpneq_ps(a, b); }
-  static V Select(V mask, V a, V b) {
+  static M CmpLt(V a, V b) { return _mm_cmplt_ps(a, b); }
+  static M CmpGt(V a, V b) { return _mm_cmpgt_ps(a, b); }
+  static M CmpNeq(V a, V b) { return _mm_cmpneq_ps(a, b); }
+  static V Select(M mask, V a, V b) {
     return _mm_or_ps(_mm_and_ps(mask, a), _mm_andnot_ps(mask, b));
   }
+  static V IfThenElseZero(M mask, V a) { return _mm_and_ps(mask, a); }
 
   static V RoundNearest(V x) {
     const V magic = _mm_set1_ps(12582912.f);
@@ -225,6 +246,8 @@ struct VAvx2 {
   static constexpr int kWidth = 8;
   using V = __m256;
   using VI = __m256i;
+  using M = V;
+  using Narrower = VScalar;
 
   static V Load(const float* p) { return _mm256_loadu_ps(p); }
   static void Store(float* p, V v) { _mm256_storeu_ps(p, v); }
@@ -243,10 +266,11 @@ struct VAvx2 {
   static V Or(V a, V b) { return _mm256_or_ps(a, b); }
   static V Xor(V a, V b) { return _mm256_xor_ps(a, b); }
 
-  static V CmpLt(V a, V b) { return _mm256_cmp_ps(a, b, _CMP_LT_OQ); }
-  static V CmpGt(V a, V b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
-  static V CmpNeq(V a, V b) { return _mm256_cmp_ps(a, b, _CMP_NEQ_UQ); }
-  static V Select(V mask, V a, V b) { return _mm256_blendv_ps(b, a, mask); }
+  static M CmpLt(V a, V b) { return _mm256_cmp_ps(a, b, _CMP_LT_OQ); }
+  static M CmpGt(V a, V b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
+  static M CmpNeq(V a, V b) { return _mm256_cmp_ps(a, b, _CMP_NEQ_UQ); }
+  static V Select(M mask, V a, V b) { return _mm256_blendv_ps(b, a, mask); }
+  static V IfThenElseZero(M mask, V a) { return _mm256_and_ps(mask, a); }
 
   static V RoundNearest(V x) {
     const V magic = _mm256_set1_ps(12582912.f);
@@ -296,6 +320,96 @@ struct VAvx2 {
 
 #endif  // __AVX2__
 
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+
+/// The plain forms of several intrinsics (max/min/sqrt, cvtt, slli, the
+/// 256-bit extracts and conversions) pass an undefined vector as their
+/// merge source, which GCC 12 reports under -Wuninitialized; the
+/// all-lanes maskz forms compile to the same instructions without it.
+struct VAvx512 {
+  static constexpr int kWidth = 16;
+  using V = __m512;
+  using VI = __m512i;
+  using M = __mmask16;
+  using Narrower = VAvx2;
+  static constexpr __mmask16 kAll = 0xFFFF;
+
+  static V Load(const float* p) { return _mm512_loadu_ps(p); }
+  static void Store(float* p, V v) { _mm512_storeu_ps(p, v); }
+  static V Set1(float v) { return _mm512_set1_ps(v); }
+
+  static V Add(V a, V b) { return _mm512_add_ps(a, b); }
+  static V Sub(V a, V b) { return _mm512_sub_ps(a, b); }
+  static V Mul(V a, V b) { return _mm512_mul_ps(a, b); }
+  static V Div(V a, V b) { return _mm512_div_ps(a, b); }
+  // VMAXPS keeps MAXPS's operand rule, so (b, a) is std::max(a, b).
+  static V SMax(V a, V b) { return _mm512_maskz_max_ps(kAll, b, a); }
+  static V SMin(V a, V b) { return _mm512_maskz_min_ps(kAll, b, a); }
+  static V Sqrt(V a) { return _mm512_maskz_sqrt_ps(kAll, a); }
+
+  static V And(V a, V b) { return _mm512_and_ps(a, b); }
+  static V AndNot(V a, V b) { return _mm512_andnot_ps(a, b); }
+  static V Or(V a, V b) { return _mm512_or_ps(a, b); }
+  static V Xor(V a, V b) { return _mm512_xor_ps(a, b); }
+
+  static M CmpLt(V a, V b) { return _mm512_cmp_ps_mask(a, b, _CMP_LT_OQ); }
+  static M CmpGt(V a, V b) { return _mm512_cmp_ps_mask(a, b, _CMP_GT_OQ); }
+  static M CmpNeq(V a, V b) { return _mm512_cmp_ps_mask(a, b, _CMP_NEQ_UQ); }
+  static V Select(M mask, V a, V b) { return _mm512_mask_blend_ps(mask, b, a); }
+  static V IfThenElseZero(M mask, V a) { return _mm512_maskz_mov_ps(mask, a); }
+
+  static V RoundNearest(V x) {
+    const V magic = _mm512_set1_ps(12582912.f);
+    return _mm512_sub_ps(_mm512_add_ps(x, magic), magic);
+  }
+  static VI ToInt(V x) { return _mm512_maskz_cvttps_epi32(kAll, x); }
+  static V Pow2FromInt(VI k) {
+    return _mm512_castsi512_ps(
+        _mm512_maskz_slli_epi32(
+            kAll, _mm512_add_epi32(k, _mm512_set1_epi32(127)), 23));
+  }
+
+  // The same 4-lane double accumulator as VAvx2 (lane layout is fixed).
+  struct Dacc {
+    __m256d acc;
+  };
+  static Dacc DZero() { return {_mm256_setzero_pd()}; }
+  static void DAcc4(Dacc& acc, const float* p) {
+    acc.acc = _mm256_add_pd(acc.acc, _mm256_cvtps_pd(_mm_loadu_ps(p)));
+  }
+  static void DAcc4Sq(Dacc& acc, const float* p) {
+    const __m256d d = _mm256_cvtps_pd(_mm_loadu_ps(p));
+    acc.acc = _mm256_add_pd(acc.acc, _mm256_mul_pd(d, d));
+  }
+  static void DStore(const Dacc& acc, double* out) {
+    _mm256_storeu_pd(out, acc.acc);
+  }
+
+  struct DV {
+    __m512d lo;  // lanes 0..7
+    __m512d hi;  // lanes 8..15
+  };
+  static DV DZeroV() { return {_mm512_setzero_pd(), _mm512_setzero_pd()}; }
+  static DV DWiden(V v) {
+    const __m256 lo = _mm512_maskz_extractf32x8_ps(0xFF, v, 0);
+    const __m256 hi = _mm512_maskz_extractf32x8_ps(0xFF, v, 1);
+    return {_mm512_maskz_cvtps_pd(0xFF, lo), _mm512_maskz_cvtps_pd(0xFF, hi)};
+  }
+  static DV DAdd(DV a, DV b) {
+    return {_mm512_add_pd(a.lo, b.lo), _mm512_add_pd(a.hi, b.hi)};
+  }
+  static V DRecip(DV a) {
+    const __m512d one = _mm512_set1_pd(1.0);
+    const __m256 lo = _mm512_maskz_cvtpd_ps(0xFF, _mm512_div_pd(one, a.lo));
+    const __m256 hi = _mm512_maskz_cvtpd_ps(0xFF, _mm512_div_pd(one, a.hi));
+    const V low_half =
+        _mm512_maskz_insertf32x8(kAll, _mm512_setzero_ps(), lo, 0);
+    return _mm512_maskz_insertf32x8(kAll, low_half, hi, 1);
+  }
+};
+
+#endif  // __AVX512F__ && __AVX512DQ__
+
 // --- deterministic vector math (same algorithm in every backend) ---
 
 /// Cephes-style expf. Accuracy ~2 ULP vs libm on [-87.33, 88.02].
@@ -311,9 +425,10 @@ template <class B>
 typename B::V VExp(typename B::V x) {
   using V = typename B::V;
   const V zero = B::Set1(0.f);
-  const V m_hi = B::CmpGt(x, B::Set1(kExpHi));
-  const V m_lo = B::CmpLt(x, B::Set1(kExpLo));
-  const V m_nan = B::CmpNeq(x, x);
+  using M = typename B::M;
+  const M m_hi = B::CmpGt(x, B::Set1(kExpHi));
+  const M m_lo = B::CmpLt(x, B::Set1(kExpLo));
+  const M m_nan = B::CmpNeq(x, x);
   // Clamp into range; NaN survives SMax/SMin (first-operand rule), so it
   // is zeroed explicitly to keep the int conversion below well-defined.
   V xc = B::SMin(B::SMax(x, B::Set1(kExpLo)), B::Set1(kExpHi));
@@ -349,7 +464,7 @@ typename B::V VTanh(typename B::V x) {
   const V sign_mask = B::Set1(std::bit_cast<float>(0x80000000u));
   const V sign = B::And(x, sign_mask);
   const V ax = B::AndNot(sign_mask, x);
-  const V m_small = B::CmpLt(ax, B::Set1(0.625f));
+  const typename B::M m_small = B::CmpLt(ax, B::Set1(0.625f));
 
   // small: x + x^3 * P(x^2)
   const V z = B::Mul(x, x);
@@ -379,6 +494,7 @@ typename B::V VSigmoid(typename B::V x) {
   return B::Div(B::Set1(1.f), B::Add(B::Set1(1.f), e));
 }
 
+}  // namespace
 }  // namespace vec
 }  // namespace ealgap
 

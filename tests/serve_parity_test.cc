@@ -501,13 +501,13 @@ TEST_F(FusedServeParityTest,
        MatchesGraphAtEveryBlockShapeBackendAndThreadCount) {
   const kernels::Backend saved_backend = kernels::ActiveBackend();
   const int saved_threads = GetNumThreads();
-  for (int regions : {1, 3, 4, 7, 8, 9, 20, 1000}) {
+  for (int regions : {1, 3, 4, 7, 8, 9, 15, 16, 17, 20, 24, 25, 1000}) {
     FusedCase& c = Case(regions);
     for (int64_t step : Steps(c)) {
       std::vector<double> first;
-      for (kernels::Backend b : {kernels::Backend::kScalar,
-                                 kernels::Backend::kSse2,
-                                 kernels::Backend::kAvx2}) {
+      for (kernels::Backend b :
+           {kernels::Backend::kScalar, kernels::Backend::kSse2,
+            kernels::Backend::kAvx2, kernels::Backend::kAvx512}) {
         if (!kernels::BackendSupported(b)) continue;
         kernels::SetBackendForTesting(b);
         for (int threads : {1, 4}) {

@@ -1,4 +1,7 @@
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -7,6 +10,7 @@
 #include "stats/distribution.h"
 #include "stats/histogram.h"
 #include "stats/metrics.h"
+#include "tensor/kernels.h"
 
 namespace ealgap {
 namespace {
@@ -86,6 +90,92 @@ TEST(DistributionTest, RowwisePdfMatchesScalarPdf) {
   EXPECT_NEAR(z.at({1, 2}), row1.Pdf(30.0), 1e-6);
   Tensor zn = stats::RowwisePdf(x, stats::DistributionFamily::kNormal);
   EXPECT_GT(zn.at({0, 1}), zn.at({0, 2}));  // density peaks near the mean
+}
+
+// The per-row composition RowwisePdf replaced: Fit on the row as doubles,
+// then the active table's row kernel with the fitted parameters.
+Tensor PerRowPdf(const Tensor& x, stats::DistributionFamily family) {
+  const int64_t n = x.dim(0), l = x.dim(1);
+  const kernels::KernelTable& t = kernels::Active();
+  Tensor z(x.shape());
+  std::vector<double> row(l);
+  for (int64_t i = 0; i < n; ++i) {
+    const float* px = x.data() + i * l;
+    for (int64_t j = 0; j < l; ++j) row[j] = px[j];
+    if (family == stats::DistributionFamily::kExponential) {
+      auto fit = stats::ExponentialDistribution::Fit(row);
+      EXPECT_TRUE(fit.ok());
+      t.exp_pdf_row(px, static_cast<float>(fit->lambda()), z.data() + i * l,
+                    l);
+    } else {
+      auto fit = stats::NormalDistribution::Fit(row);
+      EXPECT_TRUE(fit.ok());
+      const double sd = fit->stddev();
+      t.normal_pdf_row(px, static_cast<float>(fit->mean()),
+                       static_cast<float>(1.0 / sd),
+                       static_cast<float>(1.0 / (sd * std::sqrt(2.0 * M_PI))),
+                       z.data() + i * l, l);
+    }
+  }
+  return z;
+}
+
+// Rows of counts with the cases the fits floor: all-zero rows (the mean
+// floor), constant rows (the stddev floor), and a few huge counts.
+Tensor PdfInput(int64_t n, int64_t l, bool allow_negative) {
+  Rng rng(static_cast<uint64_t>(n * 100 + l));
+  Tensor x({n, l});
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < l; ++j) {
+      float v = static_cast<float>(rng.Uniform(0.0, 40.0));
+      if (i % 7 == 1) v = 0.f;
+      if (i % 7 == 2) v = 3.5f;
+      if (i % 7 == 3 && j == 0) v = 2e6f;
+      if (allow_negative && i % 7 == 4) v = -v;
+      x.data()[i * l + j] = v;
+    }
+  }
+  return x;
+}
+
+TEST(DistributionTest, RowwisePdfMatchesPerRowFitsBitForBit) {
+  const kernels::Backend saved = kernels::ActiveBackend();
+  for (kernels::Backend b :
+       {kernels::Backend::kScalar, kernels::Backend::kSse2,
+        kernels::Backend::kAvx2, kernels::Backend::kAvx512}) {
+    if (!kernels::BackendSupported(b)) continue;
+    kernels::SetBackendForTesting(b);
+    for (int64_t n : {1, 7, 8, 15, 16, 17, 1000}) {
+      for (int64_t l : {1, 5, 9}) {
+        for (auto family : {stats::DistributionFamily::kExponential,
+                            stats::DistributionFamily::kNormal}) {
+          const bool normal = family == stats::DistributionFamily::kNormal;
+          const Tensor x = PdfInput(n, l, normal);
+          const Tensor got = stats::RowwisePdf(x, family);
+          const Tensor want = PerRowPdf(x, family);
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                static_cast<size_t>(n * l) * sizeof(float)),
+                    0)
+              << kernels::BackendName(b) << " N=" << n << " L=" << l
+              << (normal ? " normal" : " exponential");
+        }
+      }
+    }
+  }
+  kernels::SetBackendForTesting(saved);
+}
+
+TEST(DistributionDeathTest, RowwisePdfAbortsOnNegativeOrNanInput) {
+  Tensor negative = Tensor::FromVector({2, 3}, {1, 2, 3, 4, -5, 6});
+  EXPECT_DEATH(
+      stats::RowwisePdf(negative, stats::DistributionFamily::kExponential),
+      "negative value");
+  Tensor nan = Tensor::FromVector(
+      {2, 3}, {1, 2, 3, 4, std::numeric_limits<float>::quiet_NaN(), 6});
+  EXPECT_DEATH(stats::RowwisePdf(nan, stats::DistributionFamily::kExponential),
+               "Check failed");
+  EXPECT_DEATH(stats::RowwisePdf(nan, stats::DistributionFamily::kNormal),
+               "Check failed");
 }
 
 // --- descriptive ------------------------------------------------------------

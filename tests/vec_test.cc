@@ -2,10 +2,10 @@
 // src/tensor/kernels.h).
 //
 // The contract under test: every kernel produces BITWISE-identical output in
-// the scalar, SSE2 and AVX2 tables, for every length (vector body + scalar
-// tail), every alignment, and with NaN/Inf inputs. The in-house vexp/vtanh/
-// vsigmoid additionally stay within a small ULP bound of correctly-rounded
-// libm on dense grids.
+// the scalar, SSE2, AVX2 and AVX-512 tables, for every length (vector body +
+// scalar tail), every alignment, and with NaN/Inf inputs. The in-house
+// vexp/vtanh/vsigmoid additionally stay within a small ULP bound of
+// correctly-rounded libm on dense grids.
 
 #include <algorithm>
 #include <cmath>
@@ -35,8 +35,8 @@ uint32_t Bits(float x) {
 }
 
 // Lengths that exercise empty input, pure tail, full vectors of every lane
-// width (1/4/8) and vector-plus-tail combinations.
-constexpr int64_t kMaxLen = 35;  // 4 * 8 + 3
+// width (1/4/8/16) and vector-plus-tail combinations.
+constexpr int64_t kMaxLen = 35;  // 2 * 16 + 3
 // Start offsets that break 16/32-byte alignment.
 constexpr int64_t kMaxOff = 3;
 
@@ -48,7 +48,7 @@ struct NamedTable {
 // All supported non-scalar tables; parity is always measured against scalar.
 std::vector<NamedTable> AltTables() {
   std::vector<NamedTable> out;
-  for (Backend b : {Backend::kSse2, Backend::kAvx2}) {
+  for (Backend b : {Backend::kSse2, Backend::kAvx2, Backend::kAvx512}) {
     if (const KernelTable* t = kernels::Table(b)) {
       out.push_back({kernels::BackendName(b), t});
     }
@@ -209,6 +209,63 @@ TEST(VecParity, FusedRows) {
                                    const float*, float* o, int64_t n) {
     t.normal_pdf_row(a, 0.4f, 1.6f, 0.25f, o, n);
   });
+}
+
+// Per-element rates/parameters for the PDF kernels: a huge rate on every
+// third element (exp(-lambda * x) underflows unless x is 0), small and
+// moderate ones elsewhere. x from MakeInput mixes signs and exact zeros.
+std::vector<float> PdfParams(const float* b, int64_t n, float lo) {
+  std::vector<float> p(n);
+  for (int64_t i = 0; i < n; ++i) {
+    p[i] = i % 3 == 0 ? 3e4f : lo + std::fabs(b[i]) * 1e-3f;
+  }
+  return p;
+}
+
+TEST(VecParity, PerElementPdf) {
+  CheckParity("exp_pdf", [](const KernelTable& t, float* a, const float* b,
+                            float* o, int64_t n) {
+    const std::vector<float> lam = PdfParams(b, n, 0.05f);
+    t.exp_pdf(a, lam.data(), o, n);
+  });
+  CheckParity("normal_pdf", [](const KernelTable& t, float* a, const float* b,
+                               float* o, int64_t n) {
+    const std::vector<float> mean = PdfParams(b, n, -1.f);
+    const std::vector<float> inv = PdfParams(b, n, 0.1f);
+    const std::vector<float> norm = PdfParams(b, n, 0.2f);
+    t.normal_pdf(a, mean.data(), inv.data(), norm.data(), o, n);
+  });
+  // Within each table, element i equals the row kernel given element i's
+  // parameters (a constant parameter reproduces the whole row), also when
+  // the output aliases the parameter array.
+  std::vector<NamedTable> tables = AltTables();
+  tables.push_back({"scalar", &Scalar()});
+  for (const NamedTable& nt : tables) {
+    const KernelTable& t = *nt.t;
+    for (int64_t n = 0; n <= kMaxLen; ++n) {
+      for (int64_t off = 0; off <= kMaxOff; ++off) {
+        std::vector<float> x = MakeInput(n, off, 7);
+        if (n > 0) x[off] = -0.f;  // not < 0: its density is lambda
+        for (float lam : {0.8f, 3e4f}) {
+          std::vector<float> row(off + n, -777.f);
+          std::vector<float> lams(off + n, lam);
+          t.exp_pdf_row(x.data() + off, lam, row.data() + off, n);
+          t.exp_pdf(x.data() + off, lams.data() + off, lams.data() + off, n);
+          ExpectBitEqual(row, lams, off, n, "exp_pdf vs row [" + nt.name + "]");
+        }
+        std::vector<float> row(off + n, -777.f);
+        std::vector<float> mean(off + n, 0.4f), inv(off + n, 1.6f),
+            norm(off + n, 0.25f);
+        t.normal_pdf_row(x.data() + off, 0.4f, 1.6f, 0.25f, row.data() + off,
+                         n);
+        t.normal_pdf(x.data() + off, mean.data() + off, inv.data() + off,
+                     norm.data() + off, norm.data() + off, n);
+        ExpectBitEqual(row, norm, off, n,
+                       "normal_pdf vs row [" + nt.name + "]");
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 TEST(VecParity, Reductions) {
@@ -435,8 +492,9 @@ uint64_t Bits64(double x) {
 }
 
 // The fused pass must give the scalar table's bits in every table, for
-// every block remainder (N = 1..19 from several starting regions), and for
-// any split of the region range into calls (ParallelFor chunks).
+// every block remainder (N = 1..40 from several starting regions, so the
+// 16-lane blocks, the step down to 8 lanes and the scalar tail all run),
+// and for any split of the region range into calls (ParallelFor chunks).
 TEST(VecParity, EalgapServeRows) {
   struct Shape3 {
     int64_t l, hidden, gru;
@@ -444,7 +502,7 @@ TEST(VecParity, EalgapServeRows) {
   for (const Shape3 shape : {Shape3{5, 32, 16}, Shape3{9, 6, 5},
                              Shape3{17, 3, 2}}) {
     for (float gate_scale : {0.5f, 40.f}) {
-      for (int64_t n = 1; n <= 19; ++n) {
+      for (int64_t n = 1; n <= 40; ++n) {
         const ServeInputs in =
             MakeServeInputs(n, shape.l, shape.hidden, shape.gru, gate_scale);
         std::vector<double> ref(n, -1.0);
@@ -584,7 +642,7 @@ TEST(OpsBackendParity, EndToEnd) {
 
   kernels::SetBackendForTesting(Backend::kScalar);
   Run ref = run_all();
-  for (Backend bk : {Backend::kSse2, Backend::kAvx2}) {
+  for (Backend bk : {Backend::kSse2, Backend::kAvx2, Backend::kAvx512}) {
     if (!kernels::BackendSupported(bk)) continue;
     kernels::SetBackendForTesting(bk);
     Run alt = run_all();
