@@ -3,7 +3,8 @@
 # experiment sweep (crash + resume must reproduce the clean run byte for
 # byte), chaos-soak the serving daemon with faults armed (plain and
 # adaptive), TSan the concurrent serving paths, ASan the checkpoint/resume
-# parsers, and UBSan the adaptation arithmetic.
+# readers and the loader mutation test, and UBSan the adaptation
+# arithmetic.
 #
 # Usage: scripts/ci.sh
 #   BUILD_DIR=<dir>       main build directory   (default: build)
@@ -176,10 +177,14 @@ for t in serve_parity_test determinism_test thread_pool_test \
   EALGAP_NUM_THREADS=4 "./$TSAN_BUILD_DIR/tests/$t"
 done
 
-echo "===== ASan: checkpoint/resume + fault-injection + arena paths ====="
+echo "===== ASan: checkpoint/resume + loader mutation + fault-injection + arena paths ====="
 # The resume machinery shuffles large snapshots (params, Adam moments, RNG
-# streams) through text serialization and back; AddressSanitizer guards the
-# parser against overreads on truncated or corrupt state files.
+# streams) through the state-file container and back; AddressSanitizer
+# guards the readers against overreads on truncated or corrupt files.
+# loader_fuzz_test is the same binary with the same seed and budget as in
+# tier-1: every loader (four state kinds, both CSVs, the journal) reads
+# bit-flipped, truncated, length-inflated, re-sealed and spliced mutants
+# of valid files, and any overread fails the stage.
 # alloc_guard_test rides along deliberately: under ASan its malloc hook
 # compiles out (ASan owns malloc) and the counting assertions self-skip,
 # which turns the 240-step replays into a lifetime check of the exact
@@ -187,9 +192,10 @@ echo "===== ASan: checkpoint/resume + fault-injection + arena paths ====="
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -G Ninja -DEALGAP_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target \
-  train_resume_test fault_injection_test experiment_test alloc_guard_test
+  train_resume_test fault_injection_test experiment_test alloc_guard_test \
+  loader_fuzz_test
 for t in train_resume_test fault_injection_test experiment_test \
-         alloc_guard_test; do
+         alloc_guard_test loader_fuzz_test; do
   echo "----- ASan: $t -----"
   "./$ASAN_BUILD_DIR/tests/$t"
 done

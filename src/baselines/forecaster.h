@@ -21,9 +21,9 @@ struct TrainConfig {
   bool verbose = false;
 
   // --- crash-safe checkpointing (NeuralForecaster only) ---
-  /// Path of the atomic train-state snapshot (format v3: params, optimizer
-  /// moments, RNG stream, counters, best-val snapshot). Empty disables
-  /// checkpointing entirely.
+  /// Path of the atomic train-state snapshot (kTrainStateFormat: params,
+  /// optimizer moments, RNG stream, counters, best-val snapshot). Empty
+  /// disables checkpointing entirely.
   std::string checkpoint_path;
   /// Write the train state every this many completed epochs (requires
   /// checkpoint_path). 0 disables periodic snapshots.

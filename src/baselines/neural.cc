@@ -9,10 +9,7 @@
 #include <limits>
 #include <sstream>
 
-#include "common/checksum.h"
 #include "common/fault_injection.h"
-#include "common/file_util.h"
-#include "common/float_bits.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -212,31 +209,6 @@ Status NeuralForecaster::MicroFit(
   }
   return Status::OK();
 }
-
-/// Everything Fit needs to continue from an epoch boundary: parameters,
-/// optimizer moments, the RNG stream, loop counters, the best-validation
-/// snapshot, and the attribution stats. One struct serves both the
-/// in-memory divergence-rollback target and the on-disk train state
-/// (format v3), so "roll back" and "resume" are the same restore path.
-struct NeuralForecaster::TrainSnapshot {
-  int epoch = 0;  ///< next epoch to run (== epochs completed)
-  float lr = 0.f;
-  double best_val = 1e300;
-  int bad_epochs = 0;
-  int64_t total_steps = 0;
-  double total_step_ms = 0.0;
-  RngState rng;
-  /// Train-step visit order. The per-epoch shuffle permutes this vector in
-  /// place, so the epoch-N order depends on every earlier shuffle — it is
-  /// loop state, and a bit-identical resume must restore it along with the
-  /// RNG stream.
-  std::vector<int64_t> order;
-  std::map<std::string, Tensor> params;
-  int64_t adam_t = 0;
-  std::vector<Tensor> adam_m, adam_v;
-  std::map<std::string, Tensor> best_params;  ///< empty: no best epoch yet
-  TrainStats stats;
-};
 
 Status NeuralForecaster::Fit(const data::SlidingWindowDataset& dataset,
                              const data::StepRanges& split,
@@ -532,13 +504,6 @@ void NeuralForecaster::ServeForwardInto(const data::WindowSample& sample,
 
 // --- Checkpointing ----------------------------------------------------------
 
-namespace {
-constexpr char kCheckpointMagic[] = "ealgap-checkpoint";
-constexpr int kCheckpointVersion = 1;
-constexpr char kTrainStateMagic[] = "ealgap-train-state";
-constexpr int kTrainStateVersion = 3;
-}  // namespace
-
 Status NeuralForecaster::EncodeConfig(CheckpointConfig* config) const {
   (void)config;
   return Status::NotImplemented(name() + " does not support checkpointing");
@@ -594,357 +559,174 @@ Status NeuralForecaster::SaveCheckpoint(const std::string& path) {
   }
   CheckpointConfig config;
   EALGAP_RETURN_IF_ERROR(EncodeConfig(&config));
-  std::ostringstream out;
-  out << kCheckpointMagic << " " << kCheckpointVersion << "\n";
-  out << "model " << name() << "\n";
-  out.precision(std::numeric_limits<float>::max_digits10);
+  StateFileWriter out(kCheckpointFormat);
+  out.Section("model");
+  out.Str(name());
+  out.Section("config");
+  out.I64(static_cast<int64_t>(config.size()));
   for (const auto& [key, value] : config) {
-    out << "config " << key << " " << value << "\n";
+    out.Str(key);
+    out.Str(value);
   }
-  int64_t count = 0;
-  LineCrc crc;
-  {
-    std::ostringstream params;
-    nn::WriteParameterBlock(params, *module(), &count, &crc);
-    out << "params " << count << "\n" << params.str();
-  }
-  // Per-block CRC over the parameter lines: catches in-block corruption
-  // (bit rot, bad copies) that still parses as valid numbers.
-  out << "crc " << Crc32Hex(crc.value()) << "\n";
-  out << "end\n";
+  out.Section("params");
+  nn::WriteParameters(out, *module());
   // Temp-file + fsync + rename with bounded retry: a reader (or a crash
   // mid-save) can never observe a torn checkpoint.
-  return WriteFileAtomic(path, out.str());
+  return out.Save(path);
 }
 
 Status NeuralForecaster::LoadCheckpoint(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kCheckpointMagic) {
-    return Status::ParseError(path + " is not an ealgap checkpoint");
-  }
-  if (version != kCheckpointVersion) {
-    return Status::InvalidArgument(
-        "unsupported checkpoint version " + std::to_string(version) + " in " +
-        path + " (maximum supported: " + std::to_string(kCheckpointVersion) +
-        ")");
-  }
-  std::string key, model;
-  if (!(in >> key >> model) || key != "model") {
-    return Status::ParseError("missing model line in " + path);
-  }
-  if (model != name()) {
-    return Status::InvalidArgument("checkpoint holds model " + model +
-                                   " but this forecaster is " + name());
-  }
-  // Config echo, then the parameter count.
+  EALGAP_ASSIGN_OR_RETURN(StateFileReader in,
+                          StateFileReader::Open(path, kCheckpointFormat));
+  return LoadCheckpoint(in);
+}
+
+Status NeuralForecaster::LoadCheckpoint(const StateFileReader& in) {
+  EALGAP_RETURN_IF_ERROR(in.ExpectModel(name()));
+  EALGAP_ASSIGN_OR_RETURN(StateDecoder cd, in.Section("config"));
+  const int64_t keys = cd.I64();
+  EALGAP_RETURN_IF_ERROR(cd.Need(keys, 2 * sizeof(int64_t), "config key"));
   std::map<std::string, std::string> config;
-  int64_t param_count = -1;
-  std::string line;
-  std::getline(in, line);  // finish the model line
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream is(line);
-    std::string tag;
-    is >> tag;
-    if (tag == "config") {
-      std::string k;
-      if (!(is >> k)) return Status::ParseError("bad config line in " + path);
-      std::string v;
-      std::getline(is, v);
-      const size_t start = v.find_first_not_of(' ');
-      config[k] = start == std::string::npos ? "" : v.substr(start);
-    } else if (tag == "params") {
-      if (!(is >> param_count) || param_count < 0 || param_count > 100000) {
-        return Status::ParseError("bad params count in " + path);
-      }
-      break;
-    } else {
-      return Status::ParseError("unexpected checkpoint tag '" + tag +
-                                "' in " + path);
-    }
+  for (int64_t i = 0; i < keys; ++i) {
+    std::string key = cd.Str();
+    config[std::move(key)] = cd.Str();
   }
-  if (param_count < 0) {
-    return Status::ParseError("truncated checkpoint (no params block) in " +
-                              path);
-  }
+  EALGAP_RETURN_IF_ERROR(cd.Done());
+  std::map<std::string, Tensor> loaded;
+  EALGAP_ASSIGN_OR_RETURN(StateDecoder pd, in.Section("params"));
+  EALGAP_RETURN_IF_ERROR(nn::ReadTensorMap(pd, &loaded));
   // Rebuild the network from the config echo, then load the weights.
   EALGAP_RETURN_IF_ERROR(DecodeConfig(config));
-  std::map<std::string, Tensor> loaded;
-  LineCrc crc;
-  EALGAP_RETURN_IF_ERROR(
-      nn::ReadParameterBlock(in, param_count, &loaded, path, &crc));
-  std::string tail;
-  std::string crc_hex;
-  uint32_t stored_crc = 0;
-  std::istringstream crc_line;
-  if (!std::getline(in, tail)) {
-    return Status::ParseError("truncated checkpoint (missing crc) in " + path);
-  }
-  crc_line.str(tail);
-  std::string crc_tag;
-  if (!(crc_line >> crc_tag >> crc_hex) || crc_tag != "crc" ||
-      !ParseCrc32Hex(crc_hex, &stored_crc)) {
-    return Status::ParseError("bad crc line in " + path);
-  }
-  if (stored_crc != crc.value()) {
-    return Status::ParseError("parameter block CRC mismatch in " + path +
-                              ": stored " + crc_hex + ", computed " +
-                              Crc32Hex(crc.value()));
-  }
-  if (!std::getline(in, tail) || tail != "end") {
-    return Status::ParseError("truncated checkpoint (missing end marker) in " +
-                              path);
-  }
-  EALGAP_RETURN_IF_ERROR(nn::ApplyParameters(*module(), loaded, path));
+  EALGAP_RETURN_IF_ERROR(nn::ApplyParameters(*module(), loaded, in.path()));
   fitted_ = true;
   return Status::OK();
 }
 
-// --- Train-state checkpoints (format v3) ------------------------------------
+// --- Train-state checkpoints ------------------------------------------------
 //
-// Layout (one logical field per line; floating-point scalars as raw bit
-// patterns in hex so the round-trip is exact to the last ulp):
-//
-//   ealgap-train-state 3
-//   model <name>
-//   epoch <int> / lr / best_val / bad_epochs / total_steps / total_step_ms
-//   stats <8 TrainStats fields>
-//   rng <s0> <s1> <s2> <s3> <have_cached> <cached_bits>
-//   order <count> <step...>   (train-step visit order; permutation-checked
-//                              against the dataset on resume)
-//   params <count>  + tensor lines + crc <hex8>
-//   adam <t> <count> + tensor lines (keys m.%05d / v.%05d) + crc <hex8>
-//   best <count>    + tensor lines + crc <hex8>
-//   end
-//
-// Written via WriteFileAtomic (temp file + fsync + rename), so a crash at
-// any point leaves either the previous complete state or the new one —
-// never a torn file. Each tensor block carries its own CRC32; the trailing
-// `end` marker makes truncation detectable even after the last block.
+// Sections (common/state_file.h): model; progress (epoch, lr, best_val,
+// bad_epochs, total_steps, total_step_ms, the TrainStats fields); rng;
+// order (the train-step visit order, permutation-checked against the
+// dataset on resume); params; adam (t, then the moments as a tensor map
+// keyed m.%05d / v.%05d); best. Written via WriteFileAtomic, so a crash at
+// any point leaves either the previous complete state or the new one.
 
 Status NeuralForecaster::SaveTrainState(const std::string& path,
                                         const TrainSnapshot& snap) {
-  std::ostringstream out;
-  out << kTrainStateMagic << " " << kTrainStateVersion << "\n";
-  out << "model " << name() << "\n";
-  out << "epoch " << snap.epoch << "\n";
-  out << "lr " << FloatBitsHex(snap.lr) << "\n";
-  out << "best_val " << DoubleBitsHex(snap.best_val) << "\n";
-  out << "bad_epochs " << snap.bad_epochs << "\n";
-  out << "total_steps " << snap.total_steps << "\n";
-  out << "total_step_ms " << DoubleBitsHex(snap.total_step_ms) << "\n";
+  StateFileWriter out(kTrainStateFormat);
+  out.Section("model");
+  out.Str(name());
+  out.Section("progress");
+  out.I64(snap.epoch);
+  out.F32(snap.lr);
+  out.F64(snap.best_val);
+  out.I64(snap.bad_epochs);
+  out.I64(snap.total_steps);
+  out.F64(snap.total_step_ms);
   const TrainStats& st = snap.stats;
-  out << "stats " << st.epochs_completed << " " << st.steps << " "
-      << st.rollbacks << " " << st.retries << " " << st.skipped_steps << " "
-      << st.checkpoints_written << " " << st.resumed_epoch << " "
-      << FloatBitsHex(st.final_lr) << "\n";
-  out << "rng " << snap.rng.s[0] << " " << snap.rng.s[1] << " "
-      << snap.rng.s[2] << " " << snap.rng.s[3] << " "
-      << (snap.rng.have_cached_normal ? 1 : 0) << " "
-      << DoubleBitsHex(snap.rng.cached_normal) << "\n";
-  out << "order " << snap.order.size();
-  for (int64_t step : snap.order) out << " " << step;
-  out << "\n";
-  {
-    std::ostringstream block;
-    int64_t count = 0;
-    LineCrc crc;
-    nn::WriteTensorMapBlock(block, snap.params, &count, &crc);
-    out << "params " << count << "\n" << block.str();
-    out << "crc " << Crc32Hex(crc.value()) << "\n";
+  for (int64_t v : {st.epochs_completed, st.steps, st.rollbacks, st.retries,
+                    st.skipped_steps, st.checkpoints_written,
+                    st.resumed_epoch}) {
+    out.I64(v);
   }
-  {
-    std::map<std::string, Tensor> adam;
-    for (size_t i = 0; i < snap.adam_m.size(); ++i) {
-      adam.emplace(AdamKey('m', i), snap.adam_m[i]);
-    }
-    for (size_t i = 0; i < snap.adam_v.size(); ++i) {
-      adam.emplace(AdamKey('v', i), snap.adam_v[i]);
-    }
-    std::ostringstream block;
-    int64_t count = 0;
-    LineCrc crc;
-    nn::WriteTensorMapBlock(block, adam, &count, &crc);
-    out << "adam " << snap.adam_t << " " << count << "\n" << block.str();
-    out << "crc " << Crc32Hex(crc.value()) << "\n";
+  out.F32(st.final_lr);
+  out.Section("rng");
+  for (uint64_t word : snap.rng.s) out.I64(static_cast<int64_t>(word));
+  out.I64(snap.rng.have_cached_normal ? 1 : 0);
+  out.F64(snap.rng.cached_normal);
+  out.Section("order");
+  out.I64(static_cast<int64_t>(snap.order.size()));
+  for (int64_t step : snap.order) out.I64(step);
+  out.Section("params");
+  nn::WriteTensorMap(out, snap.params);
+  out.Section("adam");
+  out.I64(snap.adam_t);
+  std::map<std::string, Tensor> adam;
+  for (size_t i = 0; i < snap.adam_m.size(); ++i) {
+    adam.emplace(AdamKey('m', i), snap.adam_m[i]);
   }
-  {
-    std::ostringstream block;
-    int64_t count = 0;
-    LineCrc crc;
-    nn::WriteTensorMapBlock(block, snap.best_params, &count, &crc);
-    out << "best " << count << "\n" << block.str();
-    out << "crc " << Crc32Hex(crc.value()) << "\n";
+  for (size_t i = 0; i < snap.adam_v.size(); ++i) {
+    adam.emplace(AdamKey('v', i), snap.adam_v[i]);
   }
-  out << "end\n";
-  return WriteFileAtomic(path, out.str());
+  nn::WriteTensorMap(out, adam);
+  out.Section("best");
+  nn::WriteTensorMap(out, snap.best_params);
+  return out.Save(path);
 }
-
-namespace {
-
-/// Consumes the `crc <hex8>` line that closes a tensor block and verifies
-/// it against the running CRC the reader accumulated.
-Status CheckBlockCrc(std::istream& in, const LineCrc& crc,
-                     const std::string& block, const std::string& path) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::ParseError("truncated train state (missing crc after " +
-                              block + " block) in " + path);
-  }
-  std::istringstream is(line);
-  std::string tag, hex;
-  uint32_t stored = 0;
-  if (!(is >> tag >> hex) || tag != "crc" || !ParseCrc32Hex(hex, &stored)) {
-    return Status::ParseError("bad crc line after " + block + " block in " +
-                              path);
-  }
-  if (stored != crc.value()) {
-    return Status::ParseError(block + " block CRC mismatch in " + path +
-                              ": stored " + hex + ", computed " +
-                              Crc32Hex(crc.value()));
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Status NeuralForecaster::LoadTrainState(const std::string& path,
                                         TrainSnapshot* snap) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kTrainStateMagic) {
-    return Status::ParseError(path + " is not an ealgap train state");
-  }
-  if (version != kTrainStateVersion) {
-    return Status::InvalidArgument(
-        "unsupported train-state version " + std::to_string(version) +
-        " in " + path + " (maximum supported: " +
-        std::to_string(kTrainStateVersion) + ")");
-  }
-  std::string tag, model;
-  if (!(in >> tag >> model) || tag != "model") {
-    return Status::ParseError("missing model line in " + path);
-  }
-  if (model != name()) {
-    return Status::InvalidArgument("train state holds model " + model +
-                                   " but this forecaster is " + name());
-  }
+  EALGAP_ASSIGN_OR_RETURN(StateFileReader in,
+                          StateFileReader::Open(path, kTrainStateFormat));
+  EALGAP_RETURN_IF_ERROR(in.ExpectModel(name()));
 
-  auto bad = [&path](const std::string& field) {
-    return Status::ParseError("bad '" + field + "' line in " + path);
-  };
-  std::string hex;
-  if (!(in >> tag >> snap->epoch) || tag != "epoch" || snap->epoch < 0 ||
-      snap->epoch > 1000000) {
-    return bad("epoch");
-  }
-  if (!(in >> tag >> hex) || tag != "lr" || !ParseFloatBitsHex(hex, &snap->lr)) {
-    return bad("lr");
-  }
-  if (!(in >> tag >> hex) || tag != "best_val" ||
-      !ParseDoubleBitsHex(hex, &snap->best_val)) {
-    return bad("best_val");
-  }
-  if (!(in >> tag >> snap->bad_epochs) || tag != "bad_epochs" ||
-      snap->bad_epochs < 0) {
-    return bad("bad_epochs");
-  }
-  if (!(in >> tag >> snap->total_steps) || tag != "total_steps" ||
-      snap->total_steps < 0) {
-    return bad("total_steps");
-  }
-  if (!(in >> tag >> hex) || tag != "total_step_ms" ||
-      !ParseDoubleBitsHex(hex, &snap->total_step_ms)) {
-    return bad("total_step_ms");
-  }
+  EALGAP_ASSIGN_OR_RETURN(StateDecoder pd, in.Section("progress"));
+  const int64_t epoch = pd.I64();
+  snap->lr = pd.F32();
+  snap->best_val = pd.F64();
+  const int64_t bad_epochs = pd.I64();
+  snap->total_steps = pd.I64();
+  snap->total_step_ms = pd.F64();
   TrainStats& st = snap->stats;
-  if (!(in >> tag >> st.epochs_completed >> st.steps >> st.rollbacks >>
-        st.retries >> st.skipped_steps >> st.checkpoints_written >>
-        st.resumed_epoch >> hex) ||
-      tag != "stats" || !ParseFloatBitsHex(hex, &st.final_lr)) {
-    return bad("stats");
+  for (int64_t* v : {&st.epochs_completed, &st.steps, &st.rollbacks,
+                     &st.retries, &st.skipped_steps, &st.checkpoints_written,
+                     &st.resumed_epoch}) {
+    *v = pd.I64();
   }
-  int have_cached = 0;
-  if (!(in >> tag >> snap->rng.s[0] >> snap->rng.s[1] >> snap->rng.s[2] >>
-        snap->rng.s[3] >> have_cached >> hex) ||
-      tag != "rng" || (have_cached != 0 && have_cached != 1) ||
-      !ParseDoubleBitsHex(hex, &snap->rng.cached_normal)) {
-    return bad("rng");
+  st.final_lr = pd.F32();
+  EALGAP_RETURN_IF_ERROR(pd.Done());
+  if (epoch < 0 || epoch > 1000000) return pd.Error("epoch out of range");
+  if (bad_epochs < 0 || bad_epochs > 1000000) {
+    return pd.Error("bad_epochs out of range");
+  }
+  if (snap->total_steps < 0) return pd.Error("total_steps is negative");
+  snap->epoch = static_cast<int>(epoch);
+  snap->bad_epochs = static_cast<int>(bad_epochs);
+
+  EALGAP_ASSIGN_OR_RETURN(StateDecoder rd, in.Section("rng"));
+  for (uint64_t& word : snap->rng.s) word = static_cast<uint64_t>(rd.I64());
+  const int64_t have_cached = rd.I64();
+  snap->rng.cached_normal = rd.F64();
+  EALGAP_RETURN_IF_ERROR(rd.Done());
+  if (have_cached != 0 && have_cached != 1) {
+    return rd.Error("cached-normal flag is " + std::to_string(have_cached));
   }
   snap->rng.have_cached_normal = have_cached == 1;
 
-  int64_t order_count = -1;
-  if (!(in >> tag >> order_count) || tag != "order" || order_count < 0 ||
-      order_count > 10000000) {
-    return bad("order");
-  }
+  EALGAP_ASSIGN_OR_RETURN(StateDecoder od, in.Section("order"));
+  const int64_t order_count = od.I64();
+  EALGAP_RETURN_IF_ERROR(od.Need(order_count, sizeof(int64_t), "step"));
   snap->order.resize(static_cast<size_t>(order_count));
   for (int64_t& step : snap->order) {
-    if (!(in >> step) || step < 0) return bad("order");
+    step = od.I64();
+    if (step < 0) return od.Error("holds a negative step");
   }
+  EALGAP_RETURN_IF_ERROR(od.Done());
 
-  std::string line;
-  int64_t count = -1;
-  if (!(in >> tag >> count) || tag != "params" || count < 0 ||
-      count > 100000) {
-    return bad("params");
-  }
-  std::getline(in, line);  // finish the header line
-  {
-    LineCrc crc;
-    EALGAP_RETURN_IF_ERROR(
-        nn::ReadParameterBlock(in, count, &snap->params, path, &crc));
-    EALGAP_RETURN_IF_ERROR(CheckBlockCrc(in, crc, "params", path));
-  }
+  EALGAP_ASSIGN_OR_RETURN(StateDecoder paramd, in.Section("params"));
+  EALGAP_RETURN_IF_ERROR(nn::ReadTensorMap(paramd, &snap->params));
 
-  if (!(in >> tag >> snap->adam_t >> count) || tag != "adam" ||
-      snap->adam_t < 0 || count < 0 || count > 200000 || count % 2 != 0) {
-    return bad("adam");
-  }
-  std::getline(in, line);
-  {
-    std::map<std::string, Tensor> adam;
-    LineCrc crc;
-    EALGAP_RETURN_IF_ERROR(nn::ReadParameterBlock(in, count, &adam, path, &crc));
-    EALGAP_RETURN_IF_ERROR(CheckBlockCrc(in, crc, "adam", path));
-    const size_t n = static_cast<size_t>(count / 2);
-    snap->adam_m.clear();
-    snap->adam_v.clear();
-    snap->adam_m.reserve(n);
-    snap->adam_v.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      auto mi = adam.find(AdamKey('m', i));
-      auto vi = adam.find(AdamKey('v', i));
-      if (mi == adam.end() || vi == adam.end()) {
-        return Status::ParseError("missing adam moment pair " +
-                                  std::to_string(i) + " in " + path);
-      }
-      snap->adam_m.push_back(mi->second);
-      snap->adam_v.push_back(vi->second);
+  EALGAP_ASSIGN_OR_RETURN(StateDecoder ad, in.Section("adam"));
+  snap->adam_t = ad.I64();
+  if (snap->adam_t < 0) return ad.Error("step count is negative");
+  std::map<std::string, Tensor> adam;
+  EALGAP_RETURN_IF_ERROR(nn::ReadTensorMap(ad, &adam));
+  if (adam.size() % 2 != 0) return ad.Error("holds an odd moment count");
+  const size_t n = adam.size() / 2;
+  snap->adam_m.clear();
+  snap->adam_v.clear();
+  for (size_t i = 0; i < n; ++i) {
+    auto mi = adam.find(AdamKey('m', i));
+    auto vi = adam.find(AdamKey('v', i));
+    if (mi == adam.end() || vi == adam.end()) {
+      return ad.Error("misses moment pair " + std::to_string(i));
     }
+    snap->adam_m.push_back(mi->second);
+    snap->adam_v.push_back(vi->second);
   }
 
-  if (!(in >> tag >> count) || tag != "best" || count < 0 || count > 100000) {
-    return bad("best");
-  }
-  std::getline(in, line);
-  {
-    LineCrc crc;
-    EALGAP_RETURN_IF_ERROR(
-        nn::ReadParameterBlock(in, count, &snap->best_params, path, &crc));
-    EALGAP_RETURN_IF_ERROR(CheckBlockCrc(in, crc, "best", path));
-  }
-
-  if (!std::getline(in, line) || line != "end") {
-    return Status::ParseError("truncated train state (missing end marker) in " +
-                              path);
-  }
-  return Status::OK();
+  EALGAP_ASSIGN_OR_RETURN(StateDecoder bd, in.Section("best"));
+  return nn::ReadTensorMap(bd, &snap->best_params);
 }
 
 }  // namespace ealgap

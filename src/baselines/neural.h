@@ -8,14 +8,25 @@
 #include <vector>
 
 #include "baselines/forecaster.h"
+#include "common/rng.h"
+#include "common/state_file.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
 #include "tensor/autograd.h"
 
 namespace ealgap {
 
-/// Ordered key/value pairs a forecaster echoes into its checkpoint header.
+/// Ordered key/value pairs a forecaster echoes into its checkpoint's
+/// `config` section.
 using CheckpointConfig = std::vector<std::pair<std::string, std::string>>;
+
+/// The model checkpoint: sections `model`, `config` (the EncodeConfig
+/// pairs) and `params` (common/state_file.h).
+inline constexpr StateFormat kCheckpointFormat{"ealgap-checkpoint", 2,
+                                               "checkpoint"};
+/// The train state TrainConfig::checkpoint_path names (see neural.cc).
+inline constexpr StateFormat kTrainStateFormat{"ealgap-train-state", 4,
+                                               "train state"};
 
 /// Shared skeleton for every gradient-trained forecaster (the recurrent
 /// family, ST-Norm, ST-ResNet, EVL, CHAT, and EALGAP itself).
@@ -47,18 +58,19 @@ class NeuralForecaster : public Forecaster {
   Status PredictSampleInto(const data::WindowSample& sample,
                            std::vector<double>* out) override;
 
-  /// Writes a versioned checkpoint: header, model name, the EncodeConfig
-  /// echo, every parameter, and a trailing end marker (so truncation is
-  /// detectable). Requires Fit() or LoadCheckpoint() first.
+  /// Writes a kCheckpointFormat file: model name, the EncodeConfig echo
+  /// and every parameter. Requires Fit() or LoadCheckpoint() first.
   Status SaveCheckpoint(const std::string& path);
 
   /// Restores a forecaster from SaveCheckpoint output without a Fit() call:
-  /// validates the header version and model name, rebuilds the network from
-  /// the config echo (DecodeConfig), and loads the parameters with shape
-  /// validation. A corrupted, truncated, or mismatched file yields a Status
+  /// validates the container (version, section CRCs, end marker) and the
+  /// model name, rebuilds the network from the config echo (DecodeConfig),
+  /// and loads the parameters with shape validation. A corrupted, truncated, or mismatched file yields a Status
   /// error and leaves no partially-initialized state behind on the happy
   /// path's fitted flag.
   Status LoadCheckpoint(const std::string& path);
+  /// LoadCheckpoint over a file already opened with kCheckpointFormat.
+  Status LoadCheckpoint(const StateFileReader& in);
 
   /// Bounded online fine-tune knobs (serve::AdaptivePredictor). Plain SGD,
   /// deliberately: a micro-fit leaves no optimizer moments behind, so
@@ -90,6 +102,37 @@ class NeuralForecaster : public Forecaster {
   /// RestoreParams) on a non-finite loss or gradient norm.
   Status MicroFit(const std::vector<data::WindowSample>& samples,
                   const MicroFitConfig& config);
+
+  /// Everything Fit needs to continue from an epoch boundary: parameters,
+  /// optimizer moments, the RNG stream, loop counters, the best-validation
+  /// snapshot, and the attribution stats. One struct serves both the
+  /// in-memory divergence-rollback target and the on-disk train state, so
+  /// "roll back" and "resume" are the same restore path.
+  struct TrainSnapshot {
+    int epoch = 0;  ///< next epoch to run (== epochs completed)
+    float lr = 0.f;
+    double best_val = 1e300;
+    int bad_epochs = 0;
+    int64_t total_steps = 0;
+    double total_step_ms = 0.0;
+    RngState rng;
+    /// Train-step visit order. The per-epoch shuffle permutes this vector
+    /// in place, so the epoch-N order depends on every earlier shuffle — it
+    /// is loop state, and a bit-identical resume must restore it along with
+    /// the RNG stream.
+    std::vector<int64_t> order;
+    std::map<std::string, Tensor> params;
+    int64_t adam_t = 0;
+    std::vector<Tensor> adam_m, adam_v;
+    std::map<std::string, Tensor> best_params;  ///< empty: no best epoch yet
+    TrainStats stats;
+  };
+
+  /// Atomic kTrainStateFormat file: serializes `snap` and lands it via
+  /// WriteFileAtomic, or restores it with full validation (model name,
+  /// shapes, section CRCs, end marker).
+  Status SaveTrainState(const std::string& path, const TrainSnapshot& snap);
+  Status LoadTrainState(const std::string& path, TrainSnapshot* snap);
 
   /// Mean validation loss of the best epoch (for diagnostics).
   double best_validation_loss() const { return best_val_loss_; }
@@ -152,8 +195,6 @@ class NeuralForecaster : public Forecaster {
   }
 
  private:
-  struct TrainSnapshot;
-
   const data::SlidingWindowDataset* current_dataset_ = nullptr;
   Tensor StackTargets(const std::vector<data::WindowSample>& batch) const;
   /// Mean loss over `steps`, fanned out across the pool. The first error —
@@ -162,12 +203,6 @@ class NeuralForecaster : public Forecaster {
   Result<double> EvaluateLoss(const data::SlidingWindowDataset& dataset,
                               const std::vector<int64_t>& steps,
                               int batch_size);
-
-  /// Atomic train-state checkpoint (format v3): serializes `snap` with
-  /// per-block CRCs and lands it via WriteFileAtomic, or restores it with
-  /// full validation (model name, shapes, CRCs, end marker).
-  Status SaveTrainState(const std::string& path, const TrainSnapshot& snap);
-  Status LoadTrainState(const std::string& path, TrainSnapshot* snap);
 
   bool fitted_ = false;
   double best_val_loss_ = 0.0;

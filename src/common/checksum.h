@@ -17,22 +17,6 @@ inline uint32_t Crc32(std::string_view s, uint32_t seed = 0) {
   return Crc32(s.data(), s.size(), seed);
 }
 
-/// Accumulates lines of text into a CRC the way the checkpoint writers do:
-/// each Update(line) hashes the line plus a trailing '\n', so writer and
-/// reader agree byte for byte regardless of how the reader splits lines.
-class LineCrc {
- public:
-  void Update(std::string_view line) {
-    const char nl = '\n';
-    crc_ = Crc32(line, crc_);
-    crc_ = Crc32(&nl, 1, crc_);
-  }
-  uint32_t value() const { return crc_; }
-
- private:
-  uint32_t crc_ = 0;
-};
-
 /// Fixed-width lowercase hex rendering of a CRC ("0009abcd").
 std::string Crc32Hex(uint32_t crc);
 

@@ -8,11 +8,12 @@
 
 namespace ealgap {
 
-/// Exact text round-trip for floating-point scalars in persisted state
-/// (train checkpoints, experiment journals): the value's raw bit pattern
-/// in hex. Decimal formatting can silently lose the last ulp, and both the
-/// resume contract and the clean-vs-resumed journal diff require bit
-/// equality — including for NaN payloads and signed zeros.
+/// Exact text round-trip for the doubles in the experiment journal (the
+/// one line-oriented persisted format; state files hold raw bits, see
+/// common/state_file.h): the value's raw bit pattern in hex. Decimal
+/// formatting can silently lose the last ulp, and the clean-vs-resumed
+/// journal diff requires bit equality — including for NaN payloads and
+/// signed zeros.
 
 inline std::string DoubleBitsHex(double d) {
   uint64_t bits = 0;
@@ -25,22 +26,6 @@ inline std::string DoubleBitsHex(double d) {
 inline bool ParseDoubleBitsHex(const std::string& text, double* out) {
   std::istringstream is(text);
   uint64_t bits = 0;
-  if (!(is >> std::hex >> bits) || !is.eof()) return false;
-  std::memcpy(out, &bits, sizeof(bits));
-  return true;
-}
-
-inline std::string FloatBitsHex(float f) {
-  uint32_t bits = 0;
-  std::memcpy(&bits, &f, sizeof(bits));
-  std::ostringstream os;
-  os << std::hex << bits;
-  return os.str();
-}
-
-inline bool ParseFloatBitsHex(const std::string& text, float* out) {
-  std::istringstream is(text);
-  uint32_t bits = 0;
   if (!(is >> std::hex >> bits) || !is.eof()) return false;
   std::memcpy(out, &bits, sizeof(bits));
   return true;

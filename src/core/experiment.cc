@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 
 #include "baselines/arima.h"
 #include "baselines/chat.h"
@@ -129,17 +128,10 @@ Result<std::unique_ptr<Forecaster>> MakeForecaster(const std::string& scheme,
 
 Result<std::unique_ptr<Forecaster>> LoadForecasterFromCheckpoint(
     const std::string& path) {
-  // Peek the header to learn which forecaster wrote the file; the model
-  // itself re-validates the full header in LoadCheckpoint.
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string magic, tag, model_name;
-  int version = 0;
-  if (!(in >> magic >> version >> tag >> model_name) ||
-      magic != "ealgap-checkpoint" || tag != "model") {
-    return Status::ParseError(path + " is not an ealgap checkpoint");
-  }
-  in.close();
+  // The model section names the forecaster that wrote the file.
+  EALGAP_ASSIGN_OR_RETURN(StateFileReader in,
+                          StateFileReader::Open(path, kCheckpointFormat));
+  EALGAP_ASSIGN_OR_RETURN(const std::string model_name, in.Model());
 
   std::unique_ptr<NeuralForecaster> model;
   if (model_name == "EALGAP") {
@@ -158,7 +150,7 @@ Result<std::unique_ptr<Forecaster>> LoadForecasterFromCheckpoint(
     return Status::InvalidArgument("checkpoint is for model " + model_name +
                                    ", which has no checkpoint loader");
   }
-  EALGAP_RETURN_IF_ERROR(model->LoadCheckpoint(path));
+  EALGAP_RETURN_IF_ERROR(model->LoadCheckpoint(in));
   return std::unique_ptr<Forecaster>(std::move(model));
 }
 

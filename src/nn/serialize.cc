@@ -1,114 +1,75 @@
 #include "nn/serialize.h"
 
-#include <fstream>
-#include <limits>
-#include <sstream>
-#include <vector>
-
 namespace ealgap {
 namespace nn {
 
 namespace {
-/// Ceiling on a single parameter's element count: far above any model in
-/// this repo, low enough that a corrupted shape cannot drive a multi-GB
-/// allocation before the value parse fails.
-constexpr int64_t kMaxParameterNumel = int64_t{1} << 28;
-}  // namespace
 
-namespace {
+/// Ceiling on a single tensor's element count: far above any model in
+/// this repo, low enough that a corrupt shape cannot drive a multi-GB
+/// allocation.
+constexpr int64_t kMaxTensorNumel = int64_t{1} << 28;
+constexpr int64_t kMaxRank = 8;
 
-void WriteTensorLine(std::ostream& out, std::ostringstream& line,
-                     const std::string& name, const Tensor& t, LineCrc* crc) {
-  line.str("");
-  line << name << " " << t.ndim();
-  for (int64_t d : t.shape()) line << " " << d;
-  const float* data = t.data();
-  for (int64_t i = 0; i < t.numel(); ++i) line << " " << data[i];
-  const std::string text = line.str();
-  out << text << "\n";
-  if (crc != nullptr) crc->Update(text);
+void WriteTensor(StateFileWriter& out, const std::string& name,
+                 const Tensor& t) {
+  out.Str(name);
+  out.I64(t.ndim());
+  for (int64_t d : t.shape()) out.I64(d);
+  out.F32s(t.data(), static_cast<size_t>(t.numel()));
 }
 
 }  // namespace
 
-void WriteParameterBlock(std::ostream& out, const Module& module,
-                         int64_t* count, LineCrc* crc) {
-  int64_t n = 0;
-  std::ostringstream line;
-  line.precision(std::numeric_limits<float>::max_digits10);
+void WriteTensorMap(StateFileWriter& out,
+                    const std::map<std::string, Tensor>& tensors) {
+  out.I64(static_cast<int64_t>(tensors.size()));
+  for (const auto& [name, t] : tensors) WriteTensor(out, name, t);
+}
+
+void WriteParameters(StateFileWriter& out, const Module& module) {
+  // NamedParameters is in declaration order; map order keeps the bytes
+  // equal to WriteTensorMap over a captured snapshot.
+  std::map<std::string, Tensor> params;
   for (const auto& [name, p] : module.NamedParameters()) {
-    WriteTensorLine(out, line, name, p.value(), crc);
-    ++n;
+    params.emplace(name, p.value());
   }
-  if (count != nullptr) *count = n;
+  WriteTensorMap(out, params);
 }
 
-void WriteTensorMapBlock(std::ostream& out,
-                         const std::map<std::string, Tensor>& tensors,
-                         int64_t* count, LineCrc* crc) {
-  int64_t n = 0;
-  std::ostringstream line;
-  line.precision(std::numeric_limits<float>::max_digits10);
-  for (const auto& [name, t] : tensors) {
-    WriteTensorLine(out, line, name, t, crc);
-    ++n;
-  }
-  if (count != nullptr) *count = n;
-}
-
-Status ReadParameterBlock(std::istream& in, int64_t count,
-                          std::map<std::string, Tensor>* loaded,
-                          const std::string& context, LineCrc* crc) {
-  std::string line;
-  int64_t read = 0;
-  while ((count < 0 || read < count) && std::getline(in, line)) {
-    // Every consumed line feeds the CRC — a well-formed writer never emits
-    // blank lines inside a checksummed block, so a stray one is corruption
-    // and shows up as a CRC mismatch.
-    if (crc != nullptr) crc->Update(line);
-    if (line.empty()) continue;
-    std::istringstream is(line);
-    std::string name;
-    int64_t rank = 0;
-    if (!(is >> name >> rank) || rank < 0 || rank > 8) {
-      return Status::ParseError("bad checkpoint line in " + context);
+Status ReadTensorMap(StateDecoder& in, std::map<std::string, Tensor>* loaded) {
+  const int64_t count = in.I64();
+  // Every tensor takes at least its name length and rank.
+  EALGAP_RETURN_IF_ERROR(in.Need(count, 2 * sizeof(int64_t), "tensor"));
+  for (int64_t k = 0; k < count; ++k) {
+    const std::string name = in.Str();
+    const int64_t rank = in.I64();
+    if (rank < 0 || rank > kMaxRank) {
+      return in.Error("tensor " + name + " rank " + std::to_string(rank) +
+                      " out of range [0, " + std::to_string(kMaxRank) + "]");
     }
     Shape shape(rank);
+    for (int64_t i = 0; i < rank; ++i) shape[i] = in.I64();
+    EALGAP_RETURN_IF_ERROR(in.Check());
     int64_t numel = 1;
     for (int64_t i = 0; i < rank; ++i) {
-      if (!(is >> shape[i])) {
-        return Status::ParseError("bad shape for " + name + " in " + context);
-      }
-      // A zero or negative dimension in a corrupt header is named here —
-      // it must never survive into tensor allocation or an OOB copy.
+      // A zero or negative dimension is named here — it must never
+      // survive into tensor allocation or an OOB copy.
       if (shape[i] < 1) {
-        return Status::ParseError(
-            "parameter " + name + " dimension " + std::to_string(i) + " is " +
-            std::to_string(shape[i]) + " (must be >= 1) in " + context);
+        return in.Error("tensor " + name + " dimension " + std::to_string(i) +
+                        " is " + std::to_string(shape[i]) + " (must be >= 1)");
       }
-      if (shape[i] > kMaxParameterNumel ||
-          numel * shape[i] > kMaxParameterNumel) {
-        return Status::ParseError("bad shape for " + name + " in " + context);
+      if (shape[i] > kMaxTensorNumel / numel) {
+        return in.Error("tensor " + name + " has more than 2^28 elements");
       }
       numel *= shape[i];
     }
-    const int64_t n = ShapeNumel(shape);
-    std::vector<float> values(n);
-    for (int64_t i = 0; i < n; ++i) {
-      if (!(is >> values[i])) {
-        return Status::ParseError("truncated values for " + name + " in " +
-                                  context);
-      }
-    }
-    loaded->insert_or_assign(name, Tensor::FromVector(shape, std::move(values)));
-    ++read;
+    EALGAP_RETURN_IF_ERROR(in.Need(numel, sizeof(float), "tensor " + name));
+    Tensor t(shape);
+    in.F32s(t.data(), static_cast<size_t>(numel));
+    loaded->insert_or_assign(name, std::move(t));
   }
-  if (count >= 0 && read < count) {
-    return Status::ParseError("expected " + std::to_string(count) +
-                              " parameters, found " + std::to_string(read) +
-                              " in " + context);
-  }
-  return Status::OK();
+  return in.Done();
 }
 
 Status ApplyParameters(Module& module,
@@ -129,22 +90,6 @@ Status ApplyParameters(Module& module,
     const_cast<Tensor&>(p.value()).CopyFrom(it->second);
   }
   return Status::OK();
-}
-
-Status SaveParameters(const Module& module, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  WriteParameterBlock(out, module);
-  if (!out) return Status::IoError("write failed for " + path);
-  return Status::OK();
-}
-
-Status LoadParameters(Module& module, const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::map<std::string, Tensor> loaded;
-  EALGAP_RETURN_IF_ERROR(ReadParameterBlock(in, -1, &loaded, path));
-  return ApplyParameters(module, loaded, path);
 }
 
 }  // namespace nn

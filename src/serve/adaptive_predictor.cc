@@ -3,23 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "common/arena.h"
-#include "common/checksum.h"
 #include "common/fault_injection.h"
-#include "common/file_util.h"
-#include "common/float_bits.h"
-#include "nn/serialize.h"
+#include "common/state_file.h"
 
 namespace ealgap {
 namespace serve {
 
 namespace {
-
-constexpr const char* kAdaptStateMagic = "ealgap-adapt-state";
-constexpr int kAdaptStateVersion = 1;
 
 data::WindowSample CloneSample(const data::WindowSample& s) {
   data::WindowSample out;
@@ -379,111 +372,56 @@ Result<AdaptEvent> AdaptivePredictor::MaybeAdapt() {
   return RunAttempt();
 }
 
-Status AdaptivePredictor::SaveState(const std::string& path) const {
-  std::ostringstream body;
-  body << "model " << name() << "\n";
-  body << "regions " << cusum_.size() << "\n";
-  body << "guard " << (frozen_ ? 1 : 0) << " " << failed_streak_ << " "
-       << observed_since_attempt_ << " " << observed_since_freeze_ << " "
-       << (pending_trigger_ ? 1 : 0) << "\n";
-  std::ostringstream line;
-  line << "ewma";
-  for (double v : ewma_) line << " " << DoubleBitsHex(v);
-  body << line.str() << "\n";
-  line.str("");
-  line << "cusum";
-  for (double v : cusum_) line << " " << DoubleBitsHex(v);
-  body << line.str() << "\n";
+// Sections (common/state_file.h): model; detector (region count, frozen,
+// failed streak, steps since the last attempt and since the freeze, the
+// pending trigger, then the per-region EWMA and CUSUM doubles).
 
-  std::ostringstream out;
-  out << kAdaptStateMagic << " " << kAdaptStateVersion << "\n";
-  out << body.str();
-  out << "crc " << Crc32Hex(Crc32(body.str())) << "\n";
-  out << "end\n";
-  return WriteFileAtomic(path, out.str());
+Status AdaptivePredictor::SaveState(const std::string& path) const {
+  StateFileWriter out(kAdaptStateFormat);
+  out.Section("model");
+  out.Str(name());
+  out.Section("detector");
+  out.I64(static_cast<int64_t>(cusum_.size()));
+  out.I64(frozen_ ? 1 : 0);
+  out.I64(failed_streak_);
+  out.I64(observed_since_attempt_);
+  out.I64(observed_since_freeze_);
+  out.I64(pending_trigger_ ? 1 : 0);
+  out.F64s(ewma_.data(), ewma_.size());
+  out.F64s(cusum_.data(), cusum_.size());
+  return out.Save(path);
 }
 
 Status AdaptivePredictor::LoadState(const std::string& path) {
-  EALGAP_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
-  std::istringstream in(text);
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kAdaptStateMagic) {
-    return Status::ParseError(path + " is not an adapt-state file");
-  }
-  if (version != kAdaptStateVersion) {
-    return Status::InvalidArgument("unsupported adapt-state version " +
-                                   std::to_string(version) + " in " + path);
-  }
-  // Everything between the magic line and the crc line is checksummed.
-  const size_t body_begin = text.find('\n');
-  const size_t body_end = text.find("\ncrc ");
-  if (body_begin == std::string::npos || body_end == std::string::npos ||
-      body_end < body_begin) {
-    return Status::ParseError("missing crc line in " + path);
-  }
-  const std::string body =
-      text.substr(body_begin + 1, body_end - body_begin);
-
-  std::string tag, model_name;
-  if (!(in >> tag >> model_name) || tag != "model") {
-    return Status::ParseError("missing model line in " + path);
-  }
-  if (model_name != name()) {
-    return Status::InvalidArgument("adapt state was captured for model " +
-                                   model_name + " but this model is " +
-                                   name());
-  }
-  int64_t regions = 0;
-  if (!(in >> tag >> regions) || tag != "regions") {
-    return Status::ParseError("missing regions line in " + path);
-  }
+  EALGAP_ASSIGN_OR_RETURN(StateFileReader in,
+                          StateFileReader::Open(path, kAdaptStateFormat));
+  EALGAP_RETURN_IF_ERROR(in.ExpectModel(name()));
+  EALGAP_ASSIGN_OR_RETURN(StateDecoder d, in.Section("detector"));
+  const int64_t regions = d.I64();
+  const int64_t frozen = d.I64();
+  const int64_t streak = d.I64();
+  const int64_t since_attempt = d.I64();
+  const int64_t since_freeze = d.I64();
+  const int64_t trigger = d.I64();
+  EALGAP_RETURN_IF_ERROR(d.Check());
   if (regions < 0 || regions > (1 << 20)) {
-    return Status::ParseError("regions count " + std::to_string(regions) +
-                              " out of range [0, 2^20] in " + path);
+    return d.Error("regions count " + std::to_string(regions) +
+                   " out of range [0, 2^20]");
   }
-  int frozen = 0, trigger = 0;
-  int streak = 0;
-  int64_t since_attempt = 0, since_freeze = 0;
-  if (!(in >> tag >> frozen >> streak >> since_attempt >> since_freeze >>
-        trigger) ||
-      tag != "guard" || frozen < 0 || frozen > 1 || streak < 0 ||
+  if (frozen < 0 || frozen > 1 || streak < 0 || streak > (1 << 30) ||
       since_attempt < 0 || since_freeze < 0 || trigger < 0 || trigger > 1) {
-    return Status::ParseError("bad guard line in " + path);
+    return d.Error("has a bad guard field");
   }
+  EALGAP_RETURN_IF_ERROR(d.Need(2 * regions, sizeof(double), "region value"));
   std::vector<double> ewma(static_cast<size_t>(regions));
   std::vector<double> cusum(static_cast<size_t>(regions));
-  for (auto* vec : {&ewma, &cusum}) {
-    const char* want = vec == &ewma ? "ewma" : "cusum";
-    if (!(in >> tag) || tag != want) {
-      return Status::ParseError(std::string("missing ") + want + " line in " +
-                                path);
-    }
-    for (double& v : *vec) {
-      std::string hex;
-      if (!(in >> hex) || !ParseDoubleBitsHex(hex, &v)) {
-        return Status::ParseError(std::string("bad ") + want + " value in " +
-                                  path);
-      }
-    }
-  }
-  std::string crc_hex;
-  uint32_t want_crc = 0;
-  if (!(in >> tag >> crc_hex) || tag != "crc" ||
-      !ParseCrc32Hex(crc_hex, &want_crc)) {
-    return Status::ParseError("missing crc line in " + path);
-  }
-  if (Crc32(body) != want_crc) {
-    return Status::ParseError("adapt-state checksum mismatch in " + path);
-  }
-  if (!(in >> tag) || tag != "end") {
-    return Status::ParseError("missing end marker in " + path +
-                              " (truncated file)");
-  }
+  d.F64s(ewma.data(), ewma.size());
+  d.F64s(cusum.data(), cusum.size());
+  EALGAP_RETURN_IF_ERROR(d.Done());
 
   frozen_ = frozen == 1;
   stats_.frozen = frozen_;
-  failed_streak_ = streak;
+  failed_streak_ = static_cast<int>(streak);
   observed_since_attempt_ = since_attempt;
   observed_since_freeze_ = since_freeze;
   pending_trigger_ = trigger == 1;

@@ -14,6 +14,10 @@
 namespace ealgap {
 namespace serve {
 
+/// The file AdaptivePredictor::SaveState writes (see adaptive_predictor.cc).
+inline constexpr StateFormat kAdaptStateFormat{"ealgap-adapt-state", 2,
+                                               "adapt state"};
+
 /// Online test-time adaptation knobs. Every trigger, cooldown, and freeze
 /// decision is driven by observed-step counters and per-region residual
 /// state — virtual time only — so a replay with the same stream makes the
@@ -202,11 +206,11 @@ class AdaptivePredictor : public Forecaster {
   /// The model that is served and micro-fine-tuned.
   NeuralForecaster* trainee() { return trainee_; }
 
-  /// Persists the detector + freeze state (CRC'd, atomic) so a restarted
-  /// shard resumes its drift posture along with the adapted weights in the
-  /// model checkpoint. The sample ring and the A/B baseline are per
-  /// incarnation: a restart rebaselines the frozen arm to the reloaded
-  /// (possibly adapted) weights.
+  /// Persists the detector + freeze state (kAdaptStateFormat, atomic) so a
+  /// restarted shard resumes its drift posture along with the adapted
+  /// weights in the model checkpoint. The sample ring and the A/B baseline
+  /// are per incarnation: a restart rebaselines the frozen arm to the
+  /// reloaded (possibly adapted) weights.
   Status SaveState(const std::string& path) const;
   Status LoadState(const std::string& path);
 

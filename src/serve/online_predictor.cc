@@ -2,22 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <sstream>
 
-#include "common/checksum.h"
-#include "common/file_util.h"
 #include "common/logging.h"
+#include "common/state_file.h"
 #include "common/thread_pool.h"
 
 namespace ealgap {
 namespace serve {
 
 namespace {
-constexpr char kStateMagic[] = "ealgap-serve-state";
-// v2: the ring/slot/window_sum body is preceded by a `body <lines> <crc>`
-// header and the file is written atomically; v1 files are no longer read.
-constexpr int kStateVersion = 2;
+/// Ceiling on a restored predictor's matched-statistic storage (4 GiB of
+/// floats): far above any geometry in use, low enough that a forged
+/// geometry cannot drive an unbounded allocation.
+constexpr int64_t kMaxSlotValues = int64_t{1} << 30;
 }  // namespace
 
 Result<RepairPolicy> ParseRepairPolicy(const std::string& name) {
@@ -479,79 +476,44 @@ double OnlinePredictor::ExponentialRate(int region) const {
   return 1.0 / mean;
 }
 
-Status OnlinePredictor::SaveState(const std::string& path) const {
-  std::ostringstream header;
-  header << kStateMagic << " " << kStateVersion << "\n";
-  header << "model " << model_->name() << "\n";
-  header << "geometry " << num_regions_ << " " << steps_per_day_ << " "
-         << options_.history_length << " " << options_.num_windows << " "
-         << options_.norm_history << "\n";
-  header << "start " << start_date_.year << " " << start_date_.month << " "
-         << start_date_.day << "\n";
-  header << "next_step " << next_step_ << "\n";
+// Sections (common/state_file.h): model; geometry (num_regions,
+// steps_per_day, L, M, norm_history, the start date's year/month/day,
+// next_step); ring (x, mu, sigma rows of steps [next_step - W, next_step),
+// oldest first); slots (per slot: row count, rows oldest first);
+// window_sum.
 
-  // The bulk state goes into a checksummed body block: `body <lines> <crc>`
-  // followed by exactly that many lines, CRC32 accumulated per line.
-  std::ostringstream body;
-  LineCrc crc;
-  int64_t lines = 0;
-  std::ostringstream line;
-  auto emit = [&] {
-    const std::string text = line.str();
-    body << text << "\n";
-    crc.Update(text);
-    ++lines;
-    line.str("");
-  };
-  line.precision(std::numeric_limits<float>::max_digits10);
-  // Ring rows for steps [next_step - W, next_step), oldest first.
+Status OnlinePredictor::SaveState(const std::string& path) const {
+  StateFileWriter out(kServeStateFormat);
+  out.Section("model");
+  out.Str(model_->name());
+  out.Section("geometry");
+  for (int64_t v : {int64_t{num_regions_}, int64_t{steps_per_day_},
+                    int64_t{options_.history_length},
+                    int64_t{options_.num_windows},
+                    int64_t{options_.norm_history}, int64_t{start_date_.year},
+                    int64_t{start_date_.month}, int64_t{start_date_.day},
+                    next_step_}) {
+    out.I64(v);
+  }
+  const size_t n = static_cast<size_t>(num_regions_);
+  out.Section("ring");
   for (int64_t s = next_step_ - window_span_; s < next_step_; ++s) {
     const int64_t base = RingIndex(s);
-    line << "ring";
-    for (int r = 0; r < num_regions_; ++r) line << " " << ring_x_[base + r];
-    for (int r = 0; r < num_regions_; ++r) line << " " << ring_mu_[base + r];
-    for (int r = 0; r < num_regions_; ++r) line << " " << ring_sigma_[base + r];
-    emit();
+    out.F32s(ring_x_.data() + base, n);
+    out.F32s(ring_mu_.data() + base, n);
+    out.F32s(ring_sigma_.data() + base, n);
   }
   // Slot rows oldest-first — the order LoadState re-inserts them in, which
   // keeps the circular window's age resolution identical after a restore.
-  const int num_slots = 2 * steps_per_day_;
-  for (int i = 0; i < num_slots; ++i) {
-    line << "slot " << i << " " << slot_count_[i];
-    for (int j = 0; j < slot_count_[i]; ++j) {
-      const float* row = SlotRowOldest(i, j);
-      for (int r = 0; r < num_regions_; ++r) line << " " << row[r];
-    }
-    emit();
+  out.Section("slots");
+  for (int i = 0; i < 2 * steps_per_day_; ++i) {
+    out.I64(slot_count_[i]);
+    for (int j = 0; j < slot_count_[i]; ++j) out.F32s(SlotRowOldest(i, j), n);
   }
-  line.precision(std::numeric_limits<double>::max_digits10);
-  line << "window_sum";
-  for (double v : window_sum_) line << " " << v;
-  emit();
-
-  std::ostringstream out;
-  out << header.str();
-  out << "body " << lines << " " << Crc32Hex(crc.value()) << "\n";
-  out << body.str();
-  out << "end\n";
-  return WriteFileAtomic(path, out.str());
+  out.Section("window_sum");
+  out.F64s(window_sum_.data(), n);
+  return out.Save(path);
 }
-
-namespace {
-
-/// Reads `tag value...` header tokens, returning ParseError with the file
-/// name on mismatch — lets LoadState propagate via EALGAP_RETURN_IF_ERROR
-/// instead of hand-rolled if-chains.
-Status ExpectTag(std::istream& in, const std::string& want,
-                 const std::string& path) {
-  std::string tag;
-  if (!(in >> tag) || tag != want) {
-    return Status::ParseError("missing " + want + " line in " + path);
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<OnlinePredictor> OnlinePredictor::LoadState(const std::string& path,
                                                    Forecaster* model) {
@@ -562,165 +524,96 @@ Result<OnlinePredictor> OnlinePredictor::LoadState(const std::string& path,
     return Status::InvalidArgument(model->name() +
                                    " does not support streaming prediction");
   }
-  EALGAP_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
-  std::istringstream in(text);
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kStateMagic) {
-    return Status::ParseError(path + " is not a serve-state file");
-  }
-  if (version != kStateVersion) {
-    return Status::InvalidArgument(
-        "unsupported serve-state version " + std::to_string(version) + " in " +
-        path + " (maximum supported: " + std::to_string(kStateVersion) + ")");
-  }
-  EALGAP_RETURN_IF_ERROR(ExpectTag(in, "model", path));
-  std::string model_name;
-  if (!(in >> model_name)) {
-    return Status::ParseError("missing model name in " + path);
-  }
-  if (model_name != model->name()) {
-    return Status::InvalidArgument("state was captured for model " +
-                                   model_name + " but this model is " +
-                                   model->name());
-  }
-  OnlinePredictor p;
-  p.model_ = model;
-  int64_t l = 0, m = 0, nh = 0;
-  EALGAP_RETURN_IF_ERROR(ExpectTag(in, "geometry", path));
-  if (!(in >> p.num_regions_ >> p.steps_per_day_ >> l >> m >> nh)) {
-    return Status::ParseError("bad geometry line in " + path);
-  }
+  EALGAP_ASSIGN_OR_RETURN(StateFileReader in,
+                          StateFileReader::Open(path, kServeStateFormat));
+  EALGAP_RETURN_IF_ERROR(in.ExpectModel(model->name()));
+  EALGAP_ASSIGN_OR_RETURN(StateDecoder g, in.Section("geometry"));
+  int64_t geometry[9];
+  for (int64_t& v : geometry) v = g.I64();
+  EALGAP_RETURN_IF_ERROR(g.Done());
+  const auto [n, t, l, m, nh, year, month, day, next_step] = geometry;
   // Each geometry field is validated by name: a zero or negative count from
-  // a corrupt header must die here, not as an OOB index or a giant
+  // a corrupt file must die here, not as an OOB index or a giant
   // allocation when the rings are sized from it.
   auto field_in_range = [&](const char* field, int64_t v, int64_t lo,
                             int64_t hi) -> Status {
     if (v < lo || v > hi) {
-      return Status::ParseError(
-          "geometry field " + std::string(field) + " = " + std::to_string(v) +
-          " out of range [" + std::to_string(lo) + ", " + std::to_string(hi) +
-          "] in " + path);
+      return g.Error("field " + std::string(field) + " = " +
+                     std::to_string(v) + " out of range [" +
+                     std::to_string(lo) + ", " + std::to_string(hi) + "]");
     }
     return Status::OK();
   };
-  EALGAP_RETURN_IF_ERROR(
-      field_in_range("num_regions", p.num_regions_, 1, 1 << 20));
-  EALGAP_RETURN_IF_ERROR(
-      field_in_range("steps_per_day", p.steps_per_day_, 1, 1440));
+  EALGAP_RETURN_IF_ERROR(field_in_range("num_regions", n, 1, 1 << 20));
+  EALGAP_RETURN_IF_ERROR(field_in_range("steps_per_day", t, 1, 1440));
   EALGAP_RETURN_IF_ERROR(field_in_range("history_length", l, 1, 4096));
   EALGAP_RETURN_IF_ERROR(field_in_range("num_windows", m, 1, 4096));
   EALGAP_RETURN_IF_ERROR(field_in_range("norm_history", nh, 1, 4096));
+  EALGAP_RETURN_IF_ERROR(field_in_range("year", year, 1, 9999));
+  EALGAP_RETURN_IF_ERROR(field_in_range("month", month, 1, 12));
+  EALGAP_RETURN_IF_ERROR(field_in_range("day", day, 1, 31));
+  // Slot storage is sized from the geometry alone (2T slots of up to NH
+  // rows), not from the rows stored, so it gets its own ceiling.
+  if (2 * t * nh > kMaxSlotValues / n) {
+    return g.Error("slot storage of 2 x " + std::to_string(t) + " x " +
+                   std::to_string(nh) + " x " + std::to_string(n) +
+                   " values exceeds 2^30");
+  }
+  OnlinePredictor p;
+  p.model_ = model;
+  p.num_regions_ = static_cast<int>(n);
+  p.steps_per_day_ = static_cast<int>(t);
   p.options_.history_length = static_cast<int>(l);
   p.options_.num_windows = static_cast<int>(m);
   p.options_.norm_history = static_cast<int>(nh);
-  EALGAP_RETURN_IF_ERROR(ExpectTag(in, "start", path));
-  if (!(in >> p.start_date_.year >> p.start_date_.month >>
-        p.start_date_.day) ||
-      p.start_date_.month < 1 || p.start_date_.month > 12 ||
-      p.start_date_.day < 1 || p.start_date_.day > 31) {
-    return Status::ParseError("bad start line in " + path);
-  }
-  EALGAP_RETURN_IF_ERROR(ExpectTag(in, "next_step", path));
-  if (!(in >> p.next_step_)) {
-    return Status::ParseError("bad next_step line in " + path);
-  }
-  p.window_span_ = static_cast<int64_t>(p.steps_per_day_) * (m - 1) + l;
+  p.start_date_ = {static_cast<int>(year), static_cast<int>(month),
+                   static_cast<int>(day)};
+  p.next_step_ = next_step;
+  p.window_span_ = t * (m - 1) + l;
   if (p.next_step_ < p.MinFirstTarget()) {
     return Status::InvalidArgument("serve state has too little history");
   }
 
-  // Body block: verify the CRC over the exact stored lines before parsing
-  // a single value — a bit flip anywhere in the bulk state is caught even
-  // when it still reads as a valid number.
-  EALGAP_RETURN_IF_ERROR(ExpectTag(in, "body", path));
-  int64_t body_lines = 0;
-  std::string crc_hex;
-  uint32_t stored_crc = 0;
-  if (!(in >> body_lines >> crc_hex) || body_lines < 0 ||
-      !ParseCrc32Hex(crc_hex, &stored_crc)) {
-    return Status::ParseError("bad body header in " + path);
+  // The ring's size follows from the geometry; check it before sizing a
+  // buffer from the geometry.
+  EALGAP_ASSIGN_OR_RETURN(StateDecoder rd, in.Section("ring"));
+  if (rd.remaining() !=
+      static_cast<uint64_t>(p.window_span_ * n) * 3 * sizeof(float)) {
+    return rd.Error("holds " + std::to_string(rd.remaining()) +
+                    " bytes, which does not match the geometry");
   }
-  const int64_t expected_lines = p.window_span_ +
-                                 2 * static_cast<int64_t>(p.steps_per_day_) +
-                                 1;
-  if (body_lines != expected_lines) {
-    return Status::ParseError("body line count " + std::to_string(body_lines) +
-                              " does not match geometry in " + path);
-  }
-  std::string line;
-  std::getline(in, line);  // finish the body header line
-  std::ostringstream body_text;
-  LineCrc crc;
-  for (int64_t i = 0; i < body_lines; ++i) {
-    if (!std::getline(in, line)) {
-      return Status::ParseError("truncated body block in " + path);
-    }
-    crc.Update(line);
-    body_text << line << "\n";
-  }
-  if (crc.value() != stored_crc) {
-    return Status::ParseError("state body CRC mismatch in " + path +
-                              ": stored " + crc_hex + ", computed " +
-                              Crc32Hex(crc.value()));
-  }
-
-  std::istringstream body(body_text.str());
-  const int n = p.num_regions_;
   p.ring_x_.Reset(p.window_span_ * n);
   p.ring_mu_.Reset(p.window_span_ * n);
   p.ring_sigma_.Reset(p.window_span_ * n);
   for (int64_t s = p.next_step_ - p.window_span_; s < p.next_step_; ++s) {
-    EALGAP_RETURN_IF_ERROR(ExpectTag(body, "ring", path));
     const int64_t base = p.RingIndex(s);
-    for (int r = 0; r < n; ++r) {
-      if (!(body >> p.ring_x_[base + r])) {
-        return Status::ParseError("truncated ring row in " + path);
-      }
-    }
-    for (int r = 0; r < n; ++r) {
-      if (!(body >> p.ring_mu_[base + r])) {
-        return Status::ParseError("truncated ring row in " + path);
-      }
-    }
-    for (int r = 0; r < n; ++r) {
-      if (!(body >> p.ring_sigma_[base + r])) {
-        return Status::ParseError("truncated ring row in " + path);
-      }
-    }
+    rd.F32s(p.ring_x_.data() + base, n);
+    rd.F32s(p.ring_mu_.data() + base, n);
+    rd.F32s(p.ring_sigma_.data() + base, n);
   }
+  EALGAP_RETURN_IF_ERROR(rd.Done());
+
+  EALGAP_ASSIGN_OR_RETURN(StateDecoder sd, in.Section("slots"));
+  EALGAP_RETURN_IF_ERROR(sd.Need(2 * t, sizeof(int64_t), "slot"));
   p.InitSlotStorage();
-  const int num_slots = 2 * p.steps_per_day_;
-  for (int i = 0; i < num_slots; ++i) {
-    size_t idx = 0, count = 0;
-    EALGAP_RETURN_IF_ERROR(ExpectTag(body, "slot", path));
-    if (!(body >> idx >> count) || idx != static_cast<size_t>(i) ||
-        count > static_cast<size_t>(nh)) {
-      return Status::ParseError("bad slot header in " + path);
+  for (int i = 0; i < 2 * p.steps_per_day_; ++i) {
+    const int64_t count = sd.I64();
+    if (count < 0 || count > nh) {
+      return sd.Error("slot " + std::to_string(i) + " row count " +
+                      std::to_string(count) + " out of range [0, " +
+                      std::to_string(nh) + "]");
     }
     // Rows are stored oldest-first; with head at 0 the j-th row read is
     // exactly the j-th oldest, so age resolution survives the round trip.
     p.slot_count_[i] = static_cast<int>(count);
-    for (size_t j = 0; j < count; ++j) {
-      float* row = p.slot_data_.data() +
-                   (static_cast<int64_t>(i) * nh + static_cast<int64_t>(j)) *
-                       n;
-      for (int r = 0; r < n; ++r) {
-        if (!(body >> row[r])) {
-          return Status::ParseError("truncated slot row in " + path);
-        }
-      }
-    }
+    sd.F32s(p.slot_data_.data() + i * nh * n, count * n);
   }
-  EALGAP_RETURN_IF_ERROR(ExpectTag(body, "window_sum", path));
+  EALGAP_RETURN_IF_ERROR(sd.Done());
+
+  EALGAP_ASSIGN_OR_RETURN(StateDecoder wd, in.Section("window_sum"));
   p.window_sum_.assign(n, 0.0);
-  for (int r = 0; r < n; ++r) {
-    if (!(body >> p.window_sum_[r])) {
-      return Status::ParseError("truncated window_sum in " + path);
-    }
-  }
-  EALGAP_RETURN_IF_ERROR(
-      ExpectTag(in, "end", path));
+  wd.F64s(p.window_sum_.data(), n);
+  EALGAP_RETURN_IF_ERROR(wd.Done());
   p.guard_stats_.quarantine.assign(n, 0);
   p.InitScratch();
   return p;

@@ -9,6 +9,7 @@
 #include "common/aligned_alloc.h"
 #include "common/arena.h"
 #include "common/result.h"
+#include "common/state_file.h"
 #include "common/time_util.h"
 #include "data/dataset.h"
 
@@ -28,6 +29,10 @@ enum class RepairPolicy { kReject, kHoldLast, kImpute };
 /// Maps "reject" / "hold-last" / "impute" to a RepairPolicy (tool flags).
 Result<RepairPolicy> ParseRepairPolicy(const std::string& name);
 const char* RepairPolicyName(RepairPolicy policy);
+
+/// The file OnlinePredictor::SaveState writes (see online_predictor.cc).
+inline constexpr StateFormat kServeStateFormat{"ealgap-serve-state", 3,
+                                               "serve state"};
 
 /// Input-guard configuration for OnlinePredictor::Observe/ObserveAt.
 /// The default rejects everything invalid — bit-for-bit compatible with
@@ -177,8 +182,8 @@ class OnlinePredictor {
   const Arena* arena() const { return arena_.get(); }
 
   /// Serializes the incremental state (ring, accumulators, calendar) to a
-  /// plain-text file, CRC-checksummed and written atomically (temp file +
-  /// fsync + rename), so a crash mid-save can never leave a torn file.
+  /// kServeStateFormat file, written atomically (temp file + fsync +
+  /// rename), so a crash mid-save can never leave a torn file.
   /// Together with the model's SaveCheckpoint this makes a serving node
   /// restartable mid-stream with bit-identical predictions.
   Status SaveState(const std::string& path) const;

@@ -1,6 +1,6 @@
 // Heap-allocation interposition for the zero-allocation serve tests.
 //
-// Linked ONLY into alloc_guard_test: interposes the glibc malloc family
+// Linked only into alloc_guard_test and loader_fuzz_test: interposes the glibc malloc family
 // (which operator new and std::aligned_alloc route through at the symbol
 // level) and ticks the thread-local counters in common/alloc_count.h.
 // Everything forwards to the real __libc_* entry points, so behavior is

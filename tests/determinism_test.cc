@@ -79,7 +79,7 @@ Trained TrainOnce(int threads) {
   train.seed = 11;
   EXPECT_TRUE(out.model->Fit(out.dataset, out.split, train).ok());
 
-  // The checkpoint prints every parameter at max_digits10, so byte-equal
+  // The checkpoint holds every parameter's raw bits, so byte-equal
   // checkpoints mean bit-equal weights.
   const std::string path = ::testing::TempDir() + "/determinism_" +
                            std::to_string(threads) + ".ckpt";

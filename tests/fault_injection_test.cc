@@ -40,6 +40,7 @@
 #include "data/dataset.h"
 #include "serve/online_predictor.h"
 #include "serve/resilient_predictor.h"
+#include "tests/state_file_testing.h"
 
 namespace ealgap {
 namespace {
@@ -226,10 +227,6 @@ TEST(ChecksumTest, IncrementalEqualsOneShotAndHexRoundTrips) {
   uint32_t inc = Crc32("hello ");
   inc = Crc32(std::string_view("world\n"), inc);
   EXPECT_EQ(inc, once);
-
-  LineCrc lines;
-  lines.Update("hello world");  // Update() appends the '\n' itself
-  EXPECT_EQ(lines.value(), once);
 
   uint32_t parsed = 0;
   ASSERT_TRUE(ParseCrc32Hex(Crc32Hex(once), &parsed));
@@ -427,58 +424,38 @@ TEST_F(FaultServeTest, ServeStateSurvivesInjectedCrashMidSave) {
   EXPECT_EQ(*streaming, *batch);
 }
 
-// Flips one mantissa digit (a digit right after a '.') searching backwards
-// from `limit` — the file still parses structurally, so only the checksum
-// can catch the corruption. Returns false if no such digit exists.
-bool FlipMantissaDigitBefore(std::string* text, size_t limit) {
-  for (size_t i = std::min(limit, text->size()); i-- > 1;) {
-    const char c = (*text)[i];
-    if ((*text)[i - 1] == '.' && c >= '0' && c <= '9') {
-      (*text)[i] = (c == '5') ? '6' : '5';
-      return true;
-    }
-  }
-  return false;
-}
-
-void WriteAll(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  out << text;
-}
+// A byte flipped inside a section still leaves a structurally valid file
+// (every length is intact), so only the section's CRC can catch it — and
+// the error names the section.
 
 TEST_F(FaultServeTest, ChecksumCatchesBitFlipInCheckpointParams) {
   fault::ScopedFaults off("");
-  const std::string good = ::testing::TempDir() + "/fi_crc_model.ckpt";
-  ASSERT_TRUE(model_->SaveCheckpoint(good).ok());
-  std::string text = ReadAll(good);
-  const size_t crc_pos = text.find("\ncrc ");
-  ASSERT_NE(crc_pos, std::string::npos) << "checkpoint is missing a crc line";
-  ASSERT_TRUE(FlipMantissaDigitBefore(&text, crc_pos));
-
   const std::string bad = ::testing::TempDir() + "/fi_crc_model_bad.ckpt";
-  WriteAll(bad, text);
+  ASSERT_TRUE(model_->SaveCheckpoint(bad).ok());
+  // The last float of the params section.
+  const StateFileReader in = testing::ReadStateFile(bad, kCheckpointFormat);
+  testing::FlipSectionByte(bad, kCheckpointFormat, "params",
+                           testing::SectionEntry(in, "params").size - 1);
   auto r = core::LoadForecasterFromCheckpoint(bad);
   ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("CRC mismatch"), std::string::npos)
+  EXPECT_NE(r.status().message().find("section 'params' CRC mismatch"),
+            std::string::npos)
       << r.status().ToString();
 }
 
 TEST_F(FaultServeTest, ChecksumCatchesBitFlipInServeStateBody) {
   fault::ScopedFaults off("");
-  const std::string good = ::testing::TempDir() + "/fi_crc_serve.state";
-  auto predictor = NewPredictor();
-  ASSERT_TRUE(predictor.SaveState(good).ok());
-  std::string text = ReadAll(good);
-  ASSERT_NE(text.find("\nbody "), std::string::npos);
-  const size_t end_pos = text.rfind("\nend");
-  ASSERT_NE(end_pos, std::string::npos);
-  ASSERT_TRUE(FlipMantissaDigitBefore(&text, end_pos));
-
   const std::string bad = ::testing::TempDir() + "/fi_crc_serve_bad.state";
-  WriteAll(bad, text);
+  auto predictor = NewPredictor();
+  ASSERT_TRUE(predictor.SaveState(bad).ok());
+  const StateFileReader in =
+      testing::ReadStateFile(bad, serve::kServeStateFormat);
+  testing::FlipSectionByte(bad, serve::kServeStateFormat, "ring",
+                           testing::SectionEntry(in, "ring").size - 1);
   auto r = OnlinePredictor::LoadState(bad, model_);
   ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("CRC mismatch"), std::string::npos)
+  EXPECT_NE(r.status().message().find("section 'ring' CRC mismatch"),
+            std::string::npos)
       << r.status().ToString();
 }
 

@@ -1,7 +1,9 @@
 // Failure-injection and boundary-condition tests: corrupt feeds, degenerate
 // configurations, and edge-of-range behaviour across the pipeline.
 
+#include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -23,6 +25,7 @@
 #include "nn/loss.h"
 #include "serve/adaptive_predictor.h"
 #include "serve/online_predictor.h"
+#include "tests/state_file_testing.h"
 
 namespace ealgap {
 namespace {
@@ -276,53 +279,34 @@ TEST(RobustnessTest, PredictOutOfRangeStepFails) {
 }
 
 
-// --- corrupt state/checkpoint headers ----------------------------------------
+// --- corrupt state files -----------------------------------------------------
 //
-// Loaders must reject zero/negative counts in headers with a hard error
-// NAMING the bad field — a corrupt geometry must never survive into ring
-// sizing, tensor allocation, or an OOB copy.
+// Loaders must reject zero/negative counts with a hard error NAMING the bad
+// field — a corrupt geometry must never survive into ring sizing, tensor
+// allocation, or an OOB copy. Each bad value is written through
+// StateFileWriter (testing::RewriteSection), so its section's CRC is valid
+// and the range check itself is what rejects it.
 
 namespace corrupt {
 
+using ::ealgap::testing::EncodeStr;
+using ::ealgap::testing::FlipSectionByte;
+using ::ealgap::testing::Peek;
+using ::ealgap::testing::Poke;
+using ::ealgap::testing::ReadStateFile;
+using ::ealgap::testing::RewriteSection;
+using ::ealgap::testing::SectionEntry;
+
 std::string ReadAll(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   std::stringstream ss;
   ss << in.rdbuf();
   return ss.str();
 }
 
 void WriteAll(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
+  std::ofstream out(path, std::ios::binary);
   out << text;
-}
-
-/// Replaces token `index` (0-based) of the first line starting with
-/// `line_tag` by `value`.
-void PatchLineToken(const std::string& path, const std::string& line_tag,
-                    size_t index, const std::string& value) {
-  std::istringstream in(ReadAll(path));
-  std::ostringstream out;
-  std::string line;
-  bool patched = false;
-  while (std::getline(in, line)) {
-    if (!patched && line.rfind(line_tag, 0) == 0) {
-      std::istringstream tokens(line);
-      std::vector<std::string> tok;
-      std::string t;
-      while (tokens >> t) tok.push_back(t);
-      ASSERT_GT(tok.size(), index);
-      tok[index] = value;
-      line.clear();
-      for (size_t i = 0; i < tok.size(); ++i) {
-        if (i > 0) line += ' ';
-        line += tok[i];
-      }
-      patched = true;
-    }
-    out << line << "\n";
-  }
-  ASSERT_TRUE(patched) << "no line tagged '" << line_tag << "' in " << path;
-  WriteAll(path, out.str());
 }
 
 /// A minimal fitted model + predictor over a synthetic city, for
@@ -352,18 +336,93 @@ struct ServeFixture {
   }
 };
 
+/// One of the four state-file kinds, saved from the fixture and loaded
+/// back through its production loader.
+struct Kind {
+  const char* label;
+  const StateFormat* format;
+  /// The kind's last line-oriented text version.
+  int text_version;
+  Status (*save)(ServeFixture& f, const std::string& path);
+  Status (*load)(ServeFixture& f, const std::string& path);
+};
+
+Status SaveCheckpoint(ServeFixture& f, const std::string& path) {
+  return f.model->SaveCheckpoint(path);
+}
+Status LoadCheckpoint(ServeFixture&, const std::string& path) {
+  return core::LoadForecasterFromCheckpoint(path).status();
+}
+
+/// A one-epoch GRU fit that leaves its train state at `path`.
+Status SaveTrainState(ServeFixture& f, const std::string& path) {
+  std::remove(path.c_str());
+  RecurrentForecaster gru(RecurrentKind::kGru, 4);
+  TrainConfig train;
+  train.epochs = 1;
+  train.checkpoint_path = path;
+  train.checkpoint_every = 1;
+  return gru.Fit(f.dataset, f.split, train);
+}
+Status LoadTrainState(ServeFixture& f, const std::string& path) {
+  RecurrentForecaster gru(RecurrentKind::kGru, 4);
+  TrainConfig train;
+  train.epochs = 2;
+  train.checkpoint_path = path;
+  train.checkpoint_every = 0;
+  train.resume = true;
+  return gru.Fit(f.dataset, f.split, train);
+}
+
+Status SaveServeState(ServeFixture& f, const std::string& path) {
+  auto predictor = serve::OnlinePredictor::Create(f.model.get(), f.dataset,
+                                                  f.split.test_begin);
+  if (!predictor.ok()) return predictor.status();
+  return predictor->SaveState(path);
+}
+Status LoadServeState(ServeFixture& f, const std::string& path) {
+  return serve::OnlinePredictor::LoadState(path, f.model.get()).status();
+}
+
+Status SaveAdaptState(ServeFixture& f, const std::string& path) {
+  auto adaptive = serve::AdaptivePredictor::Create(f.model.get());
+  if (!adaptive.ok()) return adaptive.status();
+  return (*adaptive)->SaveState(path);
+}
+Status LoadAdaptState(ServeFixture& f, const std::string& path) {
+  auto adaptive = serve::AdaptivePredictor::Create(f.model.get());
+  if (!adaptive.ok()) return adaptive.status();
+  return (*adaptive)->LoadState(path);
+}
+
+const Kind kKinds[] = {
+    {"checkpoint", &kCheckpointFormat, 1, SaveCheckpoint, LoadCheckpoint},
+    {"train_state", &kTrainStateFormat, 3, SaveTrainState, LoadTrainState},
+    {"serve_state", &serve::kServeStateFormat, 2, SaveServeState,
+     LoadServeState},
+    {"adapt_state", &serve::kAdaptStateFormat, 1, SaveAdaptState,
+     LoadAdaptState},
+};
+
+std::string PathFor(const Kind& kind, const std::string& tag) {
+  return ::testing::TempDir() + "/robust_" + kind.label + "_" + tag;
+}
+
+/// Byte offset of the geometry section's next_step field (the ninth int64).
+constexpr size_t kNextStepOffset = 8 * sizeof(int64_t);
+
 }  // namespace corrupt
 
 TEST(RobustnessTest, ServeStateZeroRegionsRejectedByFieldName) {
   corrupt::ServeFixture f = corrupt::ServeFixture::Make();
-  auto predictor =
-      serve::OnlinePredictor::Create(f.model.get(), f.dataset, f.split.test_begin);
-  ASSERT_TRUE(predictor.ok()) << predictor.status().ToString();
   const std::string path = ::testing::TempDir() + "/zero_regions.state";
-  ASSERT_TRUE(predictor->SaveState(path).ok());
+  ASSERT_TRUE(corrupt::SaveServeState(f, path).ok());
 
-  // geometry <num_regions> <steps_per_day> <L> <M> <NH>
-  corrupt::PatchLineToken(path, "geometry ", 1, "0");
+  // geometry: num_regions, steps_per_day, L, M, NH, ... as int64s
+  corrupt::RewriteSection(path, serve::kServeStateFormat, "geometry",
+                          [](std::string* g) {
+                            corrupt::Poke<int64_t>(g, 0, 0);
+                          });
   auto loaded = serve::OnlinePredictor::LoadState(path, f.model.get());
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().ToString().find("num_regions"), std::string::npos)
@@ -372,16 +431,41 @@ TEST(RobustnessTest, ServeStateZeroRegionsRejectedByFieldName) {
 
 TEST(RobustnessTest, ServeStateNegativeStepsPerDayRejectedByFieldName) {
   corrupt::ServeFixture f = corrupt::ServeFixture::Make();
-  auto predictor =
-      serve::OnlinePredictor::Create(f.model.get(), f.dataset, f.split.test_begin);
-  ASSERT_TRUE(predictor.ok()) << predictor.status().ToString();
   const std::string path = ::testing::TempDir() + "/neg_steps.state";
-  ASSERT_TRUE(predictor->SaveState(path).ok());
+  ASSERT_TRUE(corrupt::SaveServeState(f, path).ok());
 
-  corrupt::PatchLineToken(path, "geometry ", 2, "-24");
+  corrupt::RewriteSection(path, serve::kServeStateFormat, "geometry",
+                          [](std::string* g) {
+                            corrupt::Poke<int64_t>(g, sizeof(int64_t), -24);
+                          });
   auto loaded = serve::OnlinePredictor::LoadState(path, f.model.get());
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().ToString().find("steps_per_day"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+// The slot storage a restore allocates follows from the geometry alone, so
+// a forged geometry (each field in range, CRC valid) must be refused
+// before the allocation: here 2 x 1440 x 4096 x 92 floats, ~4 GiB.
+TEST(RobustnessTest, ServeStateOversizedSlotStorageRejected) {
+  corrupt::ServeFixture f = corrupt::ServeFixture::Make();
+  const std::string path = ::testing::TempDir() + "/huge_slots.state";
+  ASSERT_TRUE(corrupt::SaveServeState(f, path).ok());
+
+  // geometry: num_regions, steps_per_day, L, M, NH, y, m, d, next_step
+  corrupt::RewriteSection(path, serve::kServeStateFormat, "geometry",
+                          [](std::string* g) {
+                            corrupt::Poke<int64_t>(g, 0, 92);
+                            corrupt::Poke<int64_t>(g, 8, 1440);
+                            corrupt::Poke<int64_t>(g, 16, 1);
+                            corrupt::Poke<int64_t>(g, 24, 1);
+                            corrupt::Poke<int64_t>(g, 32, 4096);
+                            corrupt::Poke<int64_t>(g, 64, 6000000);
+                          });
+  auto loaded = serve::OnlinePredictor::LoadState(path, f.model.get());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().ToString().find("slot storage"),
             std::string::npos)
       << loaded.status().ToString();
 }
@@ -391,59 +475,177 @@ TEST(RobustnessTest, CheckpointZeroDimensionRejectedByParameterName) {
   const std::string path = ::testing::TempDir() + "/zero_dim.ckpt";
   ASSERT_TRUE(f.model->SaveCheckpoint(path).ok());
 
-  // Find the first parameter line (after "params N"; format is
-  // "<name> <rank> <dims...> <values...>") and zero its first dimension.
-  {
-    std::istringstream in(corrupt::ReadAll(path));
-    std::ostringstream out;
-    std::string line;
-    bool in_params = false, patched = false;
-    std::string victim;
-    while (std::getline(in, line)) {
-      if (!patched && in_params && !line.empty()) {
-        std::istringstream tokens(line);
-        std::vector<std::string> tok;
-        std::string t;
-        while (tokens >> t && tok.size() < 4) tok.push_back(t);
-        ASSERT_GE(tok.size(), 3u);
-        victim = tok[0];
-        const size_t name_end = line.find(' ');
-        const size_t rank_end = line.find(' ', name_end + 1);
-        const size_t dim_end = line.find(' ', rank_end + 1);
-        line = line.substr(0, rank_end + 1) + "0" + line.substr(dim_end);
-        patched = true;
-      }
-      if (line.rfind("params ", 0) == 0) in_params = true;
-      out << line << "\n";
+  // params: i64 count, then the first tensor's name, rank and dims.
+  std::string victim;
+  corrupt::RewriteSection(
+      path, kCheckpointFormat, "params", [&victim](std::string* p) {
+        const auto name_len =
+            corrupt::Peek<int64_t>(*p, sizeof(int64_t));
+        victim = p->substr(2 * sizeof(int64_t), name_len);
+        corrupt::Poke<int64_t>(p, 3 * sizeof(int64_t) + name_len, 0);
+      });
+  ASSERT_FALSE(victim.empty());
+  auto loaded = core::LoadForecasterFromCheckpoint(path);
+  ASSERT_FALSE(loaded.ok());
+  const std::string msg = loaded.status().ToString();
+  EXPECT_NE(msg.find(victim), std::string::npos) << msg;
+  EXPECT_NE(msg.find("must be >= 1"), std::string::npos) << msg;
+}
+
+// Every kind rejects both its last text version and a future version with
+// one error naming the version found and the one this build reads.
+TEST(RobustnessTest, CheckpointVersionErrorNamesFoundAndMaxVersions) {
+  corrupt::ServeFixture f = corrupt::ServeFixture::Make();
+  for (const corrupt::Kind& kind : corrupt::kKinds) {
+    SCOPED_TRACE(kind.label);
+    const std::string good = corrupt::PathFor(kind, "ver_good");
+    ASSERT_TRUE(kind.save(f, good).ok());
+    const std::string magic = kind.format->magic;
+    const std::string text = corrupt::ReadAll(good);
+    const std::string header =
+        magic + " " + std::to_string(kind.format->version) + "\n";
+    ASSERT_EQ(text.rfind(header, 0), 0u);
+    // The kind's last text version, then a future binary one.
+    for (int found : {kind.text_version, 7}) {
+      const std::string body =
+          found == 7 ? text.substr(header.size()) : "model EALGAP\nend\n";
+      const std::string bad = corrupt::PathFor(kind, "ver_bad");
+      corrupt::WriteAll(bad, magic + " " + std::to_string(found) + "\n" + body);
+      const Status st = kind.load(f, bad);
+      ASSERT_FALSE(st.ok());
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+      EXPECT_NE(st.message().find("version " + std::to_string(found)),
+                std::string::npos)
+          << st.ToString();
+      EXPECT_NE(st.message().find("maximum supported: " +
+                                  std::to_string(kind.format->version)),
+                std::string::npos)
+          << st.ToString();
     }
-    ASSERT_TRUE(patched);
-    corrupt::WriteAll(path, out.str());
-    auto loaded = core::LoadForecasterFromCheckpoint(path);
-    ASSERT_FALSE(loaded.ok());
-    const std::string msg = loaded.status().ToString();
-    EXPECT_NE(msg.find(victim), std::string::npos) << msg;
-    EXPECT_NE(msg.find("must be >= 1"), std::string::npos) << msg;
   }
 }
 
-TEST(RobustnessTest, CheckpointVersionErrorNamesFoundAndMaxVersions) {
+// One changed byte in any section of any kind is a load error naming that
+// section — including the values a loader would otherwise accept as
+// plausible: a checkpoint's target `scale` with one digit changed, or a
+// serve state's `next_step` one step ahead.
+TEST(RobustnessTest, ChangedByteInAnySectionFailsNamingIt) {
   corrupt::ServeFixture f = corrupt::ServeFixture::Make();
-  const std::string good = ::testing::TempDir() + "/ver_model.ckpt";
-  ASSERT_TRUE(f.model->SaveCheckpoint(good).ok());
-  std::string text = corrupt::ReadAll(good);
-  const std::string hdr = "ealgap-checkpoint 1";
-  const size_t hp = text.find(hdr);
-  ASSERT_NE(hp, std::string::npos);
-  text.replace(hp, hdr.size(), "ealgap-checkpoint 7");
-  const std::string bad = ::testing::TempDir() + "/ver_model_bad.ckpt";
-  corrupt::WriteAll(bad, text);
-  core::EalgapForecaster fresh;
-  Status st = fresh.LoadCheckpoint(bad);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("version 7"), std::string::npos)
-      << st.ToString();
-  EXPECT_NE(st.message().find("maximum supported: 1"), std::string::npos)
-      << st.ToString();
+  for (const corrupt::Kind& kind : corrupt::kKinds) {
+    const std::string good = corrupt::PathFor(kind, "flip_good");
+    ASSERT_TRUE(kind.save(f, good).ok());
+    ASSERT_TRUE(kind.load(f, good).ok()) << kind.label;
+    const StateFileReader in = corrupt::ReadStateFile(good, *kind.format);
+    ASSERT_GE(in.sections().size(), 3u) << kind.label;
+    for (const auto& section : in.sections()) {
+      SCOPED_TRACE(std::string(kind.label) + " section " + section.name);
+      const std::string bad = corrupt::PathFor(kind, "flip_bad");
+      corrupt::WriteAll(bad, in.bytes());
+      // The last payload byte, or the CRC's first byte for the end marker.
+      corrupt::FlipSectionByte(bad, *kind.format, section.name,
+                               section.size == 0 ? 0 : section.size - 1);
+      const Status st = kind.load(f, bad);
+      ASSERT_FALSE(st.ok());
+      EXPECT_NE(st.message().find("section '" + section.name + "'"),
+                std::string::npos)
+          << st.ToString();
+    }
+  }
+
+  // The two plausible-looking values.
+  const std::string ckpt = ::testing::TempDir() + "/robust_scale.ckpt";
+  ASSERT_TRUE(f.model->SaveCheckpoint(ckpt).ok());
+  {
+    const StateFileReader in = corrupt::ReadStateFile(ckpt, kCheckpointFormat);
+    const auto config = corrupt::SectionEntry(in, "config");
+    const std::string scale_key = corrupt::EncodeStr("scale");
+    const size_t key_at = in.bytes().find(scale_key, config.offset);
+    ASSERT_NE(key_at, std::string::npos);
+    // The value's first digit, after its own length prefix.
+    const size_t digit = key_at + scale_key.size() + sizeof(int64_t);
+    ASSERT_TRUE(std::isdigit(static_cast<unsigned char>(in.bytes()[digit])));
+    std::string bytes = in.bytes();
+    bytes[digit] = bytes[digit] == '1' ? '2' : '1';
+    corrupt::WriteAll(ckpt, bytes);
+  }
+  auto scaled = core::LoadForecasterFromCheckpoint(ckpt);
+  ASSERT_FALSE(scaled.ok());
+  EXPECT_NE(scaled.status().message().find("section 'config' CRC mismatch"),
+            std::string::npos)
+      << scaled.status().ToString();
+
+  const std::string state = ::testing::TempDir() + "/robust_next_step.state";
+  ASSERT_TRUE(corrupt::SaveServeState(f, state).ok());
+  {
+    const StateFileReader in =
+        corrupt::ReadStateFile(state, serve::kServeStateFormat);
+    const auto geometry = corrupt::SectionEntry(in, "geometry");
+    std::string bytes = in.bytes();
+    std::string payload = bytes.substr(geometry.offset, geometry.size);
+    corrupt::Poke<int64_t>(
+        &payload, corrupt::kNextStepOffset,
+        corrupt::Peek<int64_t>(payload, corrupt::kNextStepOffset) + 1);
+    bytes.replace(geometry.offset, geometry.size, payload);
+    corrupt::WriteAll(state, bytes);
+  }
+  auto stepped = serve::OnlinePredictor::LoadState(state, f.model.get());
+  ASSERT_FALSE(stepped.ok());
+  EXPECT_NE(
+      stepped.status().message().find("section 'geometry' CRC mismatch"),
+      std::string::npos)
+      << stepped.status().ToString();
+}
+
+// save -> load -> save writes the same bytes for every kind.
+TEST(RobustnessTest, SaveLoadSaveIsByteIdentical) {
+  corrupt::ServeFixture f = corrupt::ServeFixture::Make();
+  const std::string dir = ::testing::TempDir();
+  {
+    ASSERT_TRUE(f.model->SaveCheckpoint(dir + "/rt_a.ckpt").ok());
+    auto loaded = core::LoadForecasterFromCheckpoint(dir + "/rt_a.ckpt");
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    auto* neural = dynamic_cast<NeuralForecaster*>(loaded->get());
+    ASSERT_NE(neural, nullptr);
+    ASSERT_TRUE(neural->SaveCheckpoint(dir + "/rt_b.ckpt").ok());
+    EXPECT_EQ(corrupt::ReadAll(dir + "/rt_a.ckpt"),
+              corrupt::ReadAll(dir + "/rt_b.ckpt"));
+  }
+  {
+    const std::string a = dir + "/rt_a.train", b = dir + "/rt_b.train";
+    ASSERT_TRUE(corrupt::SaveTrainState(f, a).ok());
+    RecurrentForecaster gru(RecurrentKind::kGru, 4);
+    NeuralForecaster::TrainSnapshot snap;
+    ASSERT_TRUE(gru.LoadTrainState(a, &snap).ok());
+    ASSERT_TRUE(gru.SaveTrainState(b, snap).ok());
+    EXPECT_EQ(corrupt::ReadAll(a), corrupt::ReadAll(b));
+  }
+  {
+    auto predictor = serve::OnlinePredictor::Create(f.model.get(), f.dataset,
+                                                    f.split.test_begin);
+    ASSERT_TRUE(predictor.ok());
+    for (int64_t s = f.split.test_begin; s < f.split.test_begin + 5; ++s) {
+      const std::vector<float> row = f.dataset.StepCounts(s);
+      ASSERT_TRUE(
+          predictor->Observe(std::vector<double>(row.begin(), row.end()))
+              .ok());
+    }
+    ASSERT_TRUE(predictor->SaveState(dir + "/rt_a.state").ok());
+    auto loaded =
+        serve::OnlinePredictor::LoadState(dir + "/rt_a.state", f.model.get());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_TRUE(loaded->SaveState(dir + "/rt_b.state").ok());
+    EXPECT_EQ(corrupt::ReadAll(dir + "/rt_a.state"),
+              corrupt::ReadAll(dir + "/rt_b.state"));
+  }
+  {
+    ASSERT_TRUE(corrupt::SaveAdaptState(f, dir + "/rt_a.adapt").ok());
+    auto adaptive = serve::AdaptivePredictor::Create(f.model.get());
+    ASSERT_TRUE(adaptive.ok());
+    ASSERT_TRUE((*adaptive)->LoadState(dir + "/rt_a.adapt").ok());
+    ASSERT_TRUE((*adaptive)->SaveState(dir + "/rt_b.adapt").ok());
+    EXPECT_EQ(corrupt::ReadAll(dir + "/rt_a.adapt"),
+              corrupt::ReadAll(dir + "/rt_b.adapt"));
+  }
 }
 
 TEST(RobustnessTest, AdaptStateNegativeRegionsRejectedByFieldName) {
@@ -453,7 +655,11 @@ TEST(RobustnessTest, AdaptStateNegativeRegionsRejectedByFieldName) {
   const std::string path = ::testing::TempDir() + "/neg_regions.adapt";
   ASSERT_TRUE((*adaptive)->SaveState(path).ok());
 
-  corrupt::PatchLineToken(path, "regions ", 1, "-1");
+  // detector: regions, frozen, streak, ... as int64s
+  corrupt::RewriteSection(path, serve::kAdaptStateFormat, "detector",
+                          [](std::string* d) {
+                            corrupt::Poke<int64_t>(d, 0, -1);
+                          });
   Status loaded = (*adaptive)->LoadState(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.ToString().find("regions count"), std::string::npos)
@@ -467,12 +673,14 @@ TEST(RobustnessTest, AdaptStateBitFlipFailsChecksum) {
   const std::string path = ::testing::TempDir() + "/bitflip.adapt";
   ASSERT_TRUE((*adaptive)->SaveState(path).ok());
 
-  // Flip the guard line's frozen bit: still parses, but the body bytes no
-  // longer match the CRC — the loader must reject, never half-load.
-  corrupt::PatchLineToken(path, "guard ", 1, "1");
+  // Set the frozen flag (the detector's second int64) without re-sealing:
+  // the loader must reject on the CRC, never half-load.
+  corrupt::FlipSectionByte(path, serve::kAdaptStateFormat, "detector",
+                           sizeof(int64_t));
   Status loaded = (*adaptive)->LoadState(path);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.ToString().find("checksum mismatch"), std::string::npos)
+  EXPECT_NE(loaded.ToString().find("section 'detector' CRC mismatch"),
+            std::string::npos)
       << loaded.ToString();
   // The failed load left the in-memory posture untouched.
   EXPECT_FALSE((*adaptive)->frozen());

@@ -26,6 +26,7 @@
 #include "data/dataset.h"
 #include "serve/online_predictor.h"
 #include "tensor/kernels.h"
+#include "tests/state_file_testing.h"
 
 namespace ealgap {
 namespace {
@@ -294,14 +295,14 @@ TEST_F(ServeParityTest, ExponentialRateTracksLiveWindow) {
 // --- checkpoint / state error handling --------------------------------------
 
 std::string ReadAll(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   std::stringstream ss;
   ss << in.rdbuf();
   return ss.str();
 }
 
 void WriteAll(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
+  std::ofstream out(path, std::ios::binary);
   out << text;
 }
 
@@ -326,24 +327,35 @@ TEST_F(ServeParityTest, CorruptCheckpointsReturnErrorsNotCrashes) {
     EXPECT_FALSE(r.ok()) << "truncation at " << frac << " went undetected";
   }
 
-  // Config/parameter shape mismatch: shrink the hidden width the header
-  // advertises; the stored tensors no longer fit the rebuilt network.
-  std::string mismatched = text;
-  const std::string from = "config hidden 32";
-  const size_t pos = mismatched.find(from);
-  ASSERT_NE(pos, std::string::npos);
-  mismatched.replace(pos, from.size(), "config hidden 8\n");
-  WriteAll(bad, mismatched);
-  EXPECT_FALSE(core::LoadForecasterFromCheckpoint(bad).ok());
+  // Config/parameter shape mismatch: shrink the hidden width the config
+  // advertises (a validly sealed section); the stored tensors no longer
+  // fit the rebuilt network.
+  WriteAll(bad, text);
+  const std::string key = testing::EncodeStr("hidden");
+  const std::string from = key + testing::EncodeStr("32");
+  testing::RewriteSection(
+      bad, kCheckpointFormat, "config", [&](std::string* config) {
+        const size_t pos = config->find(from);
+        ASSERT_NE(pos, std::string::npos);
+        config->replace(pos, from.size(), key + testing::EncodeStr("8"));
+      });
+  auto shrunk = core::LoadForecasterFromCheckpoint(bad);
+  ASSERT_FALSE(shrunk.ok());
+  EXPECT_NE(shrunk.status().message().find("shape mismatch"),
+            std::string::npos)
+      << shrunk.status().ToString();
 
   // Wrong model name vs the loading forecaster.
-  std::string renamed = text;
-  const size_t mp = renamed.find("model EALGAP");
-  ASSERT_NE(mp, std::string::npos);
-  renamed.replace(mp, std::string("model EALGAP").size(), "model ST-Norm");
-  WriteAll(bad, renamed);
+  WriteAll(bad, text);
+  testing::RewriteSection(bad, kCheckpointFormat, "model",
+                          [](std::string* model) {
+                            *model = testing::EncodeStr("ST-Norm");
+                          });
   core::EalgapForecaster fresh;
-  EXPECT_FALSE(fresh.LoadCheckpoint(bad).ok());
+  const Status renamed = fresh.LoadCheckpoint(bad);
+  ASSERT_FALSE(renamed.ok());
+  EXPECT_NE(renamed.message().find("holds model ST-Norm"), std::string::npos)
+      << renamed.ToString();
 
   // The intact file still loads.
   EXPECT_TRUE(core::LoadForecasterFromCheckpoint(good).ok());
@@ -372,12 +384,16 @@ TEST_F(ServeParityTest, CorruptServeStateReturnsErrorsNotCrashes) {
   }
 
   // Wrong model name.
-  std::string renamed = text;
-  const size_t mp = renamed.find("model EALGAP");
-  ASSERT_NE(mp, std::string::npos);
-  renamed.replace(mp, std::string("model EALGAP").size(), "model GRU");
-  WriteAll(bad, renamed);
-  EXPECT_FALSE(OnlinePredictor::LoadState(bad, model_).ok());
+  WriteAll(bad, text);
+  testing::RewriteSection(bad, serve::kServeStateFormat, "model",
+                          [](std::string* model) {
+                            *model = testing::EncodeStr("GRU");
+                          });
+  auto renamed = OnlinePredictor::LoadState(bad, model_);
+  ASSERT_FALSE(renamed.ok());
+  EXPECT_NE(renamed.status().message().find("holds model GRU"),
+            std::string::npos)
+      << renamed.status().ToString();
 
   EXPECT_TRUE(OnlinePredictor::LoadState(good, model_).ok());
 }

@@ -22,6 +22,7 @@
 #include "core/ealgap.h"
 #include "data/dataset.h"
 #include "tensor/kernels.h"
+#include "tests/state_file_testing.h"
 
 namespace ealgap {
 namespace {
@@ -325,12 +326,11 @@ TEST_F(TrainResumeTest, CorruptTrainStateIsRejectedOnResume) {
   ckpt_train.checkpoint_every = 1;
   ASSERT_TRUE(RunFit(ckpt_train, "corrupt_seed").status.ok());
 
-  // Flip one digit inside the params block (still parses as a number).
-  std::string text = ReadAll(state);
-  const size_t pos = text.find(".5");
-  ASSERT_NE(pos, std::string::npos);
-  text[pos + 1] = '6';
-  std::ofstream(state) << text;
+  // Flip one byte of a parameter value: every length stays intact, so
+  // only the params section's CRC can catch it.
+  const StateFileReader in = testing::ReadStateFile(state, kTrainStateFormat);
+  testing::FlipSectionByte(state, kTrainStateFormat, "params",
+                           testing::SectionEntry(in, "params").size - 1);
 
   TrainConfig resume_train = ckpt_train;
   resume_train.epochs = 2;
@@ -338,7 +338,8 @@ TEST_F(TrainResumeTest, CorruptTrainStateIsRejectedOnResume) {
   const FitOutcome resumed = RunFit(resume_train, "corrupt_resume");
   SetNumThreads(saved_threads);
   ASSERT_FALSE(resumed.status.ok());
-  EXPECT_NE(resumed.status.message().find("CRC mismatch"), std::string::npos)
+  EXPECT_NE(resumed.status.message().find("section 'params' CRC mismatch"),
+            std::string::npos)
       << resumed.status.ToString();
   std::remove(state.c_str());
 }

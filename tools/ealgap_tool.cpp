@@ -10,7 +10,7 @@
 //
 //   evaluate  --trips T.csv --stations S.csv --start YYYY-MM-DD --days N
 //             [--regions K] [--seed N] [--min-pickups X] [--L L] [--M M]
-//             [--scheme EALGAP] [--epochs N] [--lr LR] [--save ckpt.txt]
+//             [--scheme EALGAP] [--epochs N] [--lr LR] [--save model.ckpt]
 //             [--train-state path --checkpoint-every K [--resume]]
 //       Runs the full pipeline on a trip feed, trains the scheme, and
 //       reports the test metrics. --min-pickups drops stations below that
@@ -33,7 +33,7 @@
 //       epochs, letting --resume continue even mid-cell.
 //
 //   serve     --trips T.csv --stations S.csv --start YYYY-MM-DD --days N
-//             --checkpoint ckpt.txt [--regions K] [--seed N]
+//             --checkpoint model.ckpt [--regions K] [--seed N]
 //             [--min-pickups X] [--L L] [--M M]
 //             [--repair reject|hold-last|impute] [--deadline-ms D]
 //             [--recovery K] [--adapt] [--adapt-cusum-k K] [--adapt-cusum-h H]
