@@ -163,16 +163,18 @@ echo "===== TSan: concurrent serving + training paths ====="
 # run both under ThreadSanitizer with more threads than the tiny models
 # need, to force interleavings. The fault suite rides along: fault
 # decisions are mutex-serialized and must stay race-free under load.
+# ealgap_test covers the stacked-batch forward that EvaluateLoss runs from
+# pool threads (its batch parity cases train and evaluate every variant).
 cmake -B "$TSAN_BUILD_DIR" -S . -G Ninja -DEALGAP_SANITIZE=thread
 # daemon_test is the TSan leg of the daemon soak: the multi-producer
 # queue stress and the cross-shard ParallelFor serve fan-out both run
 # with sanitized interleavings here.
 cmake --build "$TSAN_BUILD_DIR" -j --target \
   serve_parity_test determinism_test thread_pool_test ops_parallel_test \
-  fault_injection_test train_resume_test daemon_test
+  fault_injection_test train_resume_test daemon_test ealgap_test
 for t in serve_parity_test determinism_test thread_pool_test \
          ops_parallel_test fault_injection_test train_resume_test \
-         daemon_test; do
+         daemon_test ealgap_test; do
   echo "----- TSan: $t -----"
   EALGAP_NUM_THREADS=4 "./$TSAN_BUILD_DIR/tests/$t"
 done

@@ -14,7 +14,7 @@ namespace ealgap {
 struct TrainConfig {
   int epochs = 30;
   float learning_rate = 2e-4f;  // the paper's 0.0002
-  int batch_size = 16;          // samples per step (each sample = N regions)
+  int batch_size = 16;          // samples per step (>= 1; each = N regions)
   int patience = 6;             // early-stop epochs without val improvement
   float grad_clip = 5.f;
   uint64_t seed = 7;

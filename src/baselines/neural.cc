@@ -213,6 +213,10 @@ Status NeuralForecaster::MicroFit(
 Status NeuralForecaster::Fit(const data::SlidingWindowDataset& dataset,
                              const data::StepRanges& split,
                              const TrainConfig& config) {
+  if (config.batch_size < 1) {
+    return Status::InvalidArgument(name() + " batch_size must be >= 1, got " +
+                                   std::to_string(config.batch_size));
+  }
   current_dataset_ = &dataset;
   Initialize(dataset, split, config);
   fitted_ = true;

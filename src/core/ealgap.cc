@@ -17,6 +17,36 @@
 namespace ealgap {
 namespace core {
 
+namespace {
+
+/// One field of every sample, stacked on its region axis (`axis`) and
+/// scaled into model space: (N, L) -> (B·N, L), (M, N, ...) -> (M, B·N, ...).
+Tensor StackRegions(const std::vector<data::WindowSample>& batch,
+                    Tensor data::WindowSample::*field, int64_t axis,
+                    float inv) {
+  const Tensor& first = batch[0].*field;
+  Shape shape = first.shape();
+  int64_t windows = 1;
+  for (int64_t d = 0; d < axis; ++d) windows *= shape[d];
+  const int64_t chunk = first.numel() / windows;
+  const int64_t b = static_cast<int64_t>(batch.size());
+  shape[axis] *= b;
+  Tensor out(shape);
+  float* po = out.data();
+  for (int64_t i = 0; i < b; ++i) {
+    const Tensor& t = batch[i].*field;
+    EALGAP_CHECK(t.SameShape(first));
+    for (int64_t w = 0; w < windows; ++w) {
+      const float* src = t.data() + w * chunk;
+      float* dst = po + (w * b + i) * chunk;
+      for (int64_t j = 0; j < chunk; ++j) dst[j] = src[j] * inv;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 struct EalgapForecaster::Net : nn::Module {
   Net(const EalgapOptions& opts, int64_t n, int64_t l, Rng& rng) {
     if (opts.use_global_attention) {
@@ -145,37 +175,6 @@ struct EalgapForecaster::Net : nn::Module {
   /// Regions per ParallelFor chunk of the fused pass (~0.3 ms of work).
   static constexpr int64_t kFusedGrain = 512;
 
-  // All inputs in model space. Returns the (N) prediction; when `d_steps`
-  // is non-null (training with degree supervision) it receives Eq. (10)'s
-  // per-window degree predictions. The serve path passes nullptr, so the
-  // per-step forward builds no vectors at all: the extreme module fills a
-  // thread-local scratch Output that is cleared before returning (its Vars
-  // are arena-backed under a serve ArenaScope and must not outlive it).
-  Var Forward(const Var& x, const Var& f, const Var& f_mu, const Var& f_sigma,
-              std::vector<Var>* d_steps) const {
-    const int64_t n = x.value().dim(0);
-    Var xg_next;
-    if (global) {
-      xg_next = global->Forward(x).xg_next;
-    } else {
-      xg_next = Reshape(mlp2->Forward(ReluInPlace(mlp1->Forward(x))), {n});
-    }
-    if (!extreme) {
-      // ablation (ii): global impacts only
-      return ReluInPlace(std::move(xg_next));
-    }
-    static thread_local ExtremeDegreeModule::Output ed;
-    extreme->ForwardInto(f, f_mu, f_sigma, &ed);
-    // Eq. (11): X̂ = ReLU(X̂g + X̂g ⊙ D̂). In serving (no grad) the ReLU
-    // overwrites the sum's buffer instead of allocating a per-step temporary.
-    Var result = ReluInPlace(Add(xg_next, Mul(xg_next, ed.d_next)));
-    if (d_steps != nullptr) *d_steps = ed.d_steps;
-    ed.d_next = Var();
-    ed.e.clear();
-    ed.d_steps.clear();
-    return result;
-  }
-
   std::unique_ptr<GlobalImpactModule> global;
   std::unique_ptr<nn::Linear> mlp1, mlp2;
   std::unique_ptr<ExtremeDegreeModule> extreme;
@@ -209,68 +208,64 @@ void EalgapForecaster::Initialize(const data::SlidingWindowDataset& dataset,
 
 Var EalgapForecaster::ForwardBatch(
     const std::vector<data::WindowSample>& batch) {
+  EALGAP_CHECK(!batch.empty());
+  EALGAP_CHECK_EQ(batch[0].x.dim(0), num_regions_);
   const float inv = 1.f / scale_;
-  // Thread-local scratch (ForwardBatch runs concurrently from EvaluateLoss
-  // pool threads): capacity is reused across calls and every vector is
-  // cleared before returning, so no Var survives a serve-path arena rewind
-  // and the steady-state serve step performs zero heap allocations.
-  static thread_local std::vector<Var> outs;
-  static thread_local std::vector<Var> degree_losses;
-  static thread_local std::vector<Var> d_steps;
-  outs.clear();
-  degree_losses.clear();
-  outs.reserve(batch.size());
-  const bool want_degree =
-      net_->extreme && options_.degree_loss_weight > 0.f && GradEnabled();
-  for (const data::WindowSample& sample : batch) {
-    Var x = Var::Leaf(ops::MulScalar(sample.x, inv));
-    Var f = Var::Leaf(ops::MulScalar(sample.f, inv));
-    Var f_mu = Var::Leaf(ops::MulScalar(sample.f_mu, inv));
-    Var f_sigma = Var::Leaf(ops::MulScalar(sample.f_sigma, inv));
-    Var prediction = net_->Forward(x, f, f_mu, f_sigma,
-                                   want_degree ? &d_steps : nullptr);
-    outs.push_back(Reshape(prediction, {1, prediction.value().numel()}));
-    // Eq. (10) supervision: each window's degree prediction is pulled
-    // toward the realized degree one step past the window (computed with
-    // the current gamma/eps, treated as a constant target).
-    if (want_degree) {
-      const int64_t m = sample.w_next.dim(0);
-      const int64_t n = sample.w_next.dim(1);
-      for (int64_t w = 0; w < m; ++w) {
-        Var xw = Var::Leaf(
-            ops::MulScalar(ops::Slice(sample.w_next, 0, w, w + 1), inv)
-                .Reshape({n, 1}));
-        Var mw = Var::Leaf(
-            ops::MulScalar(ops::Slice(sample.w_next_mu, 0, w, w + 1), inv)
-                .Reshape({n, 1}));
-        Var sw = Var::Leaf(
-            ops::MulScalar(ops::Slice(sample.w_next_sigma, 0, w, w + 1), inv)
-                .Reshape({n, 1}));
-        Var target = net_->extreme->ExtremeDegree(xw, mw, sw).Detach();
-        Var diff = Sub(Reshape(d_steps[w], {n, 1}), target);
-        degree_losses.push_back(MeanAll(Mul(diff, diff)));
-      }
+  const int64_t b = static_cast<int64_t>(batch.size());
+  const int64_t rows = b * num_regions_;
+  // One graph for the whole batch, its samples stacked on the region axis
+  // in model space. Every op below is row-independent (per-row fits and
+  // softmaxes, row-wise matmuls, elementwise math), so each sample's
+  // prediction is the bits a one-sample batch gives.
+  Var x = Var::Leaf(StackRegions(batch, &data::WindowSample::x, 0, inv));
+  Var xg_next;
+  if (net_->global) {
+    xg_next = net_->global->Forward(x).xg_next;
+  } else {
+    xg_next = Reshape(net_->mlp2->Forward(ReluInPlace(net_->mlp1->Forward(x))),
+                      {rows});
+  }
+  Var prediction;
+  Var degree_loss;
+  if (!net_->extreme) {
+    // ablation (ii): global impacts only
+    prediction = ReluInPlace(std::move(xg_next));
+  } else {
+    auto windows = [&](Tensor data::WindowSample::*field) {
+      return Var::Leaf(StackRegions(batch, field, 1, inv));
+    };
+    ExtremeDegreeModule::Output ed = net_->extreme->Forward(
+        windows(&data::WindowSample::f), windows(&data::WindowSample::f_mu),
+        windows(&data::WindowSample::f_sigma));
+    // Eq. (11): X̂ = ReLU(X̂g + X̂g ⊙ D̂). In serving (no grad) the ReLU
+    // overwrites the sum's buffer instead of allocating a temporary.
+    prediction = ReluInPlace(Add(xg_next, Mul(xg_next, ed.d_next)));
+    if (options_.degree_loss_weight > 0.f && GradEnabled()) {
+      // Eq. (10) supervision: each window's degree prediction is pulled
+      // toward the realized degree one step past the window (computed with
+      // the current gamma/eps, treated as a constant target). The loss is
+      // the mean over samples of each sample's mean over its windows and
+      // regions, so a batch's loss is the mean of its one-sample losses.
+      const int64_t m = static_cast<int64_t>(ed.d_steps.size());
+      auto next = [&](Tensor data::WindowSample::*field) {
+        return Reshape(windows(field), {m, rows, 1});
+      };
+      Var target = net_->extreme
+                       ->ExtremeDegree(next(&data::WindowSample::w_next),
+                                       next(&data::WindowSample::w_next_mu),
+                                       next(&data::WindowSample::w_next_sigma))
+                       .Detach();
+      Var diff = Sub(Reshape(Stack(ed.d_steps), {m, rows, 1}), target);
+      Var sq = Reshape(Mul(diff, diff), {m, b, num_regions_});
+      degree_loss = MeanAll(MeanAxis(MeanAxis(sq, 2), 0));
     }
   }
   // pending_degree_loss_ is only touched while gradients are recorded: the
   // no-grad evaluation/serving paths (EvaluateLoss, PredictSample) call
   // ForwardBatch concurrently from the thread pool, and an unconditional
-  // reset here would be a data race.
-  if (!degree_losses.empty()) {
-    Var total = degree_losses[0];
-    for (size_t i = 1; i < degree_losses.size(); ++i) {
-      total = Add(total, degree_losses[i]);
-    }
-    pending_degree_loss_ =
-        MulScalar(total, 1.f / static_cast<float>(degree_losses.size()));
-  } else if (GradEnabled()) {
-    pending_degree_loss_ = Var();
-  }
-  Var result = Concat(outs, 0);  // (B, N)
-  outs.clear();
-  degree_losses.clear();
-  d_steps.clear();
-  return result;
+  // write here would be a data race.
+  if (GradEnabled()) pending_degree_loss_ = degree_loss;
+  return Reshape(prediction, {b, num_regions_});
 }
 
 void EalgapForecaster::ServeForwardInto(const data::WindowSample& sample,

@@ -20,45 +20,42 @@ ExtremeDegreeModule::ExtremeDegreeModule(int64_t num_regions,
 
 Var ExtremeDegreeModule::ExtremeDegree(const Var& x, const Var& mu,
                                        const Var& sigma) const {
+  const Shape& shape = x.value().shape();
+  EALGAP_CHECK_GE(shape.size(), 2u);
+  const int64_t c = shape.back();
+  EALGAP_CHECK_EQ(shape[shape.size() - 2] % n_, 0);
+  // (..., B·N, C) -> (S, N, C), so the (N, 1) gamma and eps broadcast over
+  // every sample and window; their gradients sum back over them.
+  const Shape blocks = {x.value().numel() / (n_ * c), n_, c};
   // sqrt(sigma^2 + |eps| + floor): |eps| keeps the learnable offset
   // positive, the floor keeps constant histories finite.
-  Var var = Add(Mul(sigma, sigma), AddScalar(Abs(epsilon_), 1e-4f));
-  Var d = Div(Sub(x, mu), Sqrt(var));  // broadcasts eps (N,1) over (N,L)
-  return Tanh(Mul(d, gamma_));
+  Var s = Reshape(sigma, blocks);
+  Var var = Add(Mul(s, s), AddScalar(Abs(epsilon_), 1e-4f));
+  Var d = Div(Sub(Reshape(x, blocks), Reshape(mu, blocks)), Sqrt(var));
+  return Reshape(Tanh(Mul(d, gamma_)), shape);
 }
 
 ExtremeDegreeModule::Output ExtremeDegreeModule::Forward(
     const Var& f, const Var& f_mu, const Var& f_sigma) const {
-  Output out;
-  ForwardInto(f, f_mu, f_sigma, &out);
-  return out;
-}
-
-void ExtremeDegreeModule::ForwardInto(const Var& f, const Var& f_mu,
-                                      const Var& f_sigma, Output* out) const {
   EALGAP_CHECK_EQ(f.value().ndim(), 3);
   const int64_t m = f.value().dim(0);
-  const int64_t n = f.value().dim(1);
+  const int64_t rows = f.value().dim(1);
   const int64_t l = f.value().dim(2);
-  EALGAP_CHECK_EQ(n, n_);
 
-  out->e.clear();
-  out->d_steps.clear();
-  out->e.reserve(m);
-  out->d_steps.reserve(m);
-  Var h = nn::ZeroState(n, gru_.hidden_size());
+  // Eq. (9) over all M windows at once: elementwise, so each window's
+  // degrees are the bits a per-window call would give.
+  Var e = ExtremeDegree(f, f_mu, f_sigma);  // (M, B·N, L)
+  Output out;
+  out.d_steps.reserve(m);
+  Var h = nn::ZeroState(rows, gru_.hidden_size());
   for (int64_t w = 0; w < m; ++w) {
-    Var fw = Reshape(Slice(f, 0, w, w + 1), {n, l});
-    Var mw = Reshape(Slice(f_mu, 0, w, w + 1), {n, l});
-    Var sw = Reshape(Slice(f_sigma, 0, w, w + 1), {n, l});
-    Var e = ExtremeDegree(fw, mw, sw);  // (N, L)
-    out->e.push_back(e);
     // Eq. (10): the hidden state of window m seeds window m+1, and each
     // window emits a prediction of the degree one step past its end.
-    h = gru_.Forward(e, h);
-    out->d_steps.push_back(Reshape(Tanh(head_.Forward(h)), {n}));
+    h = gru_.Forward(Reshape(Slice(e, 0, w, w + 1), {rows, l}), h);
+    out.d_steps.push_back(Reshape(Tanh(head_.Forward(h)), {rows}));
   }
-  out->d_next = out->d_steps.back();
+  out.d_next = out.d_steps.back();
+  return out;
 }
 
 }  // namespace core

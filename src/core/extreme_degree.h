@@ -24,33 +24,29 @@ namespace core {
 /// B-2: the extreme degrees E_1..E_M of the M day-offset windows feed a GRU
 /// (regions as batch, one window per GRU step, hidden state carried across
 /// windows, Eq. 10); a linear head with tanh emits D̂[:, t+1] in [-1, 1].
+///
+/// Every input may hold B samples stacked on the region axis (B·N rows,
+/// sample b's regions at rows b·N .. b·N+N-1; one sample is B = 1). Each
+/// row is computed as it would be alone, and gamma/eps broadcast over the
+/// batch.
 class ExtremeDegreeModule : public nn::Module {
  public:
   ExtremeDegreeModule(int64_t num_regions, int64_t history_length,
                       int64_t gru_hidden, Rng& rng);
 
   struct Output {
-    Var d_next;               ///< (N) predicted extreme degree at t+1
-    std::vector<Var> e;       ///< per-window extreme degrees, each (N, L)
+    Var d_next;  ///< (B·N) predicted extreme degree at t+1
     /// Eq. (10): after consuming window m the GRU predicts the extreme
-    /// degree one step past that window, D[:, t - T(M-m) + 1]. The last
-    /// entry equals d_next.
+    /// degree one step past that window, D[:, t - T(M-m) + 1]; each entry
+    /// is (B·N) and the last equals d_next.
     std::vector<Var> d_steps;
   };
 
-  /// f, f_mu, f_sigma: (M, N, L) windows with aligned matched statistics
+  /// f, f_mu, f_sigma: (M, B·N, L) windows with aligned matched statistics
   /// (model space; the degree is scale-invariant).
   Output Forward(const Var& f, const Var& f_mu, const Var& f_sigma) const;
 
-  /// Forward() into a caller-owned Output whose vectors are cleared and
-  /// refilled (capacity reused) — the serve path passes one scratch Output
-  /// per thread so the per-step forward performs no vector allocations.
-  /// Callers that run under an ArenaScope must clear the Output again
-  /// before the scope rewinds (the Vars inside are arena-backed).
-  void ForwardInto(const Var& f, const Var& f_mu, const Var& f_sigma,
-                   Output* out) const;
-
-  /// Eq. (9) + tanh for one window (exposed for tests).
+  /// Eq. (9) + tanh on (..., B·N, C) inputs of one shape.
   Var ExtremeDegree(const Var& x, const Var& mu, const Var& sigma) const;
 
  private:

@@ -42,21 +42,22 @@ GlobalImpactModule::GlobalImpactModule(int64_t num_regions,
 
 GlobalImpactModule::Output GlobalImpactModule::Forward(const Var& x) const {
   EALGAP_CHECK_EQ(x.value().ndim(), 2);
-  const int64_t n = x.value().dim(0);
+  const int64_t rows = x.value().dim(0);
   const int64_t l = x.value().dim(1);
-  EALGAP_CHECK_EQ(n, n_);
+  EALGAP_CHECK_EQ(rows % n_, 0);
   EALGAP_CHECK_EQ(l, l_);
+  const int64_t b = rows / n_;
 
   // A-1: densities under the per-region fitted distribution (Eqs. 3-4).
   // The fit is a data transformation: gradients flow through the attention
   // parameters produced from Z, not through the fit itself.
   Tensor z = stats::RowwisePdf(x.value(), family_);
   Var zv = Var::Leaf(std::move(z));
-  // Three FC layers interleaved with Softmax decode the citywide density
-  // pattern into per-region attention parameters (Eq. 5).
-  Var h = SoftmaxLastDim(dec1_.Forward(Reshape(zv, {1, n * l})));
+  // Three FC layers interleaved with Softmax decode each sample's citywide
+  // density pattern into per-region attention parameters (Eq. 5).
+  Var h = SoftmaxLastDim(dec1_.Forward(Reshape(zv, {b, n_ * l})));
   h = SoftmaxLastDim(dec2_.Forward(h));
-  Var w = Reshape(dec3_.Forward(h), {n, 3 * j_});  // per-region W^Q/K/V
+  Var w = Reshape(dec3_.Forward(h), {rows, 3 * j_});  // per-region W^Q/K/V
   Var wq = Slice(w, 1, 0, j_);
   Var wk = Slice(w, 1, j_, 2 * j_);
   Var wv = Slice(w, 1, 2 * j_, 3 * j_);
@@ -64,25 +65,25 @@ GlobalImpactModule::Output GlobalImpactModule::Forward(const Var& x) const {
   // A-2: per-region temporal self-attention (Eq. 6). Q[n,l,:] is the
   // scalar history value projected by the region's J-vector (I = 1):
   // outer products via batched matmul.
-  Var x3 = Reshape(x, {n, l, 1});
-  Var q = BMatMul(x3, Reshape(wq, {n, 1, j_}));  // (N, L, J)
-  Var k = BMatMul(x3, Reshape(wk, {n, 1, j_}));
-  Var v = BMatMul(x3, Reshape(wv, {n, 1, j_}));
+  Var x3 = Reshape(x, {rows, l, 1});
+  Var q = BMatMul(x3, Reshape(wq, {rows, 1, j_}));  // (B·N, L, J)
+  Var k = BMatMul(x3, Reshape(wk, {rows, 1, j_}));
+  Var v = BMatMul(x3, Reshape(wv, {rows, 1, j_}));
   Var logits = MulScalar(BMatMul(q, TransposeLast2(k)),
                          1.f / std::sqrt(static_cast<float>(j_)));
-  Var scores = SoftmaxLastDim(logits);  // (N, L, L)
-  Var xg3 = BMatMul(scores, v);         // (N, L, J)
+  Var scores = SoftmaxLastDim(logits);  // (B·N, L, L)
+  Var xg3 = BMatMul(scores, v);         // (B·N, L, J)
   Output out;
   if (j_ == 1) {
-    out.xg_history = Reshape(xg3, {n, l});
+    out.xg_history = Reshape(xg3, {rows, l});
   } else {
-    out.xg_history = Reshape(combine_->Forward(xg3), {n, l});
+    out.xg_history = Reshape(combine_->Forward(xg3), {rows, l});
   }
 
   // Eq. 7: three FC layers with ReLU predict X̂g[:, t+1].
   Var p = ReluInPlace(pred1_.Forward(out.xg_history));
   p = ReluInPlace(pred2_.Forward(p));
-  out.xg_next = Reshape(pred3_.Forward(p), {n});
+  out.xg_next = Reshape(pred3_.Forward(p), {rows});
   return out;
 }
 

@@ -39,13 +39,17 @@ class GlobalImpactModule : public nn::Module {
                      int64_t attention_dim = 1);
 
   struct Output {
-    Var xg_history;  ///< (N, L) global impacts over the input window
-    Var xg_next;     ///< (N)    predicted global impact at t+1
+    Var xg_history;  ///< (B·N, L) global impacts over the input window
+    Var xg_next;     ///< (B·N)    predicted global impact at t+1
   };
 
-  /// x: (N, L) model-space mobility (non-negative). The distribution fit
-  /// and PDF evaluation are data (not differentiated through), matching
-  /// the paper's data-driven parameter generation.
+  /// x: (B·N, L) model-space mobility (non-negative) of B samples stacked
+  /// on the region axis (sample b's regions at rows b·N .. b·N+N-1; one
+  /// sample is B = 1). The decoder reads each sample's (N·L) densities as
+  /// one row; everything else is per region. Every row is computed as it
+  /// would be alone. The distribution fit and PDF evaluation are data (not
+  /// differentiated through), matching the paper's data-driven parameter
+  /// generation.
   Output Forward(const Var& x) const;
 
   stats::DistributionFamily family() const { return family_; }

@@ -1,4 +1,10 @@
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <ostream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +14,8 @@
 #include "core/extreme_degree.h"
 #include "core/global_impact.h"
 #include "data/dataset.h"
+#include "nn/loss.h"
+#include "tensor/ops.h"
 #include "stats/metrics.h"
 #include "tests/gradcheck.h"
 
@@ -120,9 +128,9 @@ TEST(ExtremeDegreeTest, ForwardShapesAndWindowCount) {
   Var sigma = Var::Leaf(Tensor::Full({m, n, l}, 2.f));
   auto out = module.Forward(f, mu, sigma);
   EXPECT_EQ(out.d_next.value().shape(), (Shape{n}));
-  EXPECT_EQ(out.e.size(), static_cast<size_t>(m));
-  for (const Var& e : out.e) {
-    EXPECT_EQ(e.value().shape(), (Shape{n, l}));
+  EXPECT_EQ(out.d_steps.size(), static_cast<size_t>(m));
+  for (const Var& d : out.d_steps) {
+    EXPECT_EQ(d.value().shape(), (Shape{n}));
   }
   for (int64_t i = 0; i < n; ++i) {
     EXPECT_GE(out.d_next.value().data()[i], -1.f);
@@ -320,6 +328,219 @@ TEST(EalgapTest, BeatsHistoricalAverageOnTurbulentSeries) {
   // EALGAP's local modeling must come out ahead.
   EXPECT_LT(er(ealgap), er(ha));
 }
+
+TEST(EalgapTest, FitRejectsBatchSizeBelowOne) {
+  Env env = MakeEnv();
+  for (int bs : {0, -1}) {
+    EalgapForecaster model;
+    TrainConfig train;
+    train.epochs = 1;
+    train.batch_size = bs;
+    Status st = model.Fit(env.dataset, env.split, train);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bs;
+    EXPECT_NE(st.message().find("batch_size"), std::string::npos) << bs;
+    // Rejected before Initialize: the model is still unfitted.
+    EXPECT_FALSE(model.Predict(env.dataset, env.split.test_begin).ok()) << bs;
+  }
+}
+
+// --- the stacked training forward -------------------------------------------
+
+/// Opens the protected training hooks to the batch tests.
+class BatchProbe : public EalgapForecaster {
+ public:
+  using EalgapForecaster::EalgapForecaster;
+  using EalgapForecaster::ComputeLoss;
+  using EalgapForecaster::ForwardBatch;
+  using EalgapForecaster::module;
+  using EalgapForecaster::ScaleTargets;
+};
+
+Tensor StackedTargets(const std::vector<data::WindowSample>& batch) {
+  std::vector<Tensor> rows;
+  for (const data::WindowSample& s : batch) {
+    rows.push_back(s.target.Reshape({1, s.target.numel()}));
+  }
+  return ops::Concat(rows, 0);
+}
+
+/// The loss ForwardBatch + ComputeLoss give for the whole batch.
+Var BatchedLoss(BatchProbe& model,
+                const std::vector<data::WindowSample>& batch, Var* pred) {
+  *pred = model.ForwardBatch(batch);
+  return model.ComputeLoss(*pred, model.ScaleTargets(StackedTargets(batch)));
+}
+
+/// The same loss built from B one-sample ForwardBatch calls: the MSE of the
+/// concatenated predictions, plus the weighted mean of the samples' Eq. (10)
+/// degree losses. A one-sample degree loss is read back through
+/// ComputeLoss against the prediction's own values, whose MSE term is
+/// exactly 0, so `degree_loss_weight` must be 1 when it is on.
+Var SingletonLoss(BatchProbe& model,
+                  const std::vector<data::WindowSample>& batch, Var* pred) {
+  const float w = model.options().degree_loss_weight;
+  EXPECT_TRUE(w == 0.f || w == 1.f) << "degree_loss_weight " << w;
+  std::vector<Var> preds, degrees;
+  for (const data::WindowSample& s : batch) {
+    preds.push_back(model.ForwardBatch({s}));
+    if (w > 0.f) {
+      degrees.push_back(model.ComputeLoss(preds.back(), preds.back().value()));
+    }
+  }
+  *pred = Concat(preds, 0);
+  Var loss = nn::MseLoss(
+      *pred, Var::Leaf(model.ScaleTargets(StackedTargets(batch))));
+  if (w > 0.f) loss = Add(loss, MulScalar(MeanAll(Concat(degrees, 0)), w));
+  return loss;
+}
+
+std::map<std::string, Tensor> Gradients(BatchProbe& model, const Var& loss) {
+  model.module()->ZeroGrad();
+  Backward(loss);
+  std::map<std::string, Tensor> out;
+  for (auto& [name, p] : model.module()->NamedParameters()) {
+    out.emplace(name, p.grad().Clone());
+  }
+  return out;
+}
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+struct BatchCase {
+  const char* name;
+  EalgapOptions options;
+};
+
+void PrintTo(const BatchCase& c, std::ostream* os) { *os << c.name; }
+
+class BatchParityTest
+    : public ::testing::TestWithParam<std::tuple<BatchCase, int>> {};
+
+TEST_P(BatchParityTest, StackedBatchEqualsConcatenatedSingletons) {
+  const BatchCase& c = std::get<0>(GetParam());
+  const int b = std::get<1>(GetParam());
+  Env env = MakeEnv();
+  BatchProbe model(c.options);
+  TrainConfig train;
+  train.epochs = 1;
+  train.learning_rate = 3e-3f;
+  train.seed = 13;
+  ASSERT_TRUE(model.Fit(env.dataset, env.split, train).ok());
+  std::vector<data::WindowSample> batch;
+  const auto steps =
+      env.dataset.TargetSteps(env.split.train_begin, env.split.train_end);
+  ASSERT_GE(steps.size(), static_cast<size_t>(b));
+  for (int i = 0; i < b; ++i) {
+    batch.push_back(env.dataset.MakeSample(steps[i * 5 % steps.size()]));
+  }
+
+  Var batched_pred, single_pred;
+  const Var batched = BatchedLoss(model, batch, &batched_pred);
+  const Var single = SingletonLoss(model, batch, &single_pred);
+  ASSERT_TRUE(BitEqual(batched_pred.value(), single_pred.value()));
+  ASSERT_TRUE(BitEqual(batched.value(), single.value()))
+      << batched.value().data()[0] << " vs " << single.value().data()[0];
+  // No-grad forwards (evaluation, Predict) give the same bits.
+  {
+    NoGradGuard no_grad;
+    ASSERT_TRUE(BitEqual(model.ForwardBatch(batch).value(),
+                         batched_pred.value()));
+  }
+
+  // Only the summation order of the parameter gradients differs.
+  const auto want = Gradients(model, single);
+  const auto got = Gradients(model, batched);
+  for (const auto& [name, g] : want) {
+    const Tensor& h = got.at(name);
+    ASSERT_EQ(h.shape(), g.shape()) << name;
+    float max_abs = 0.f, max_diff = 0.f;
+    for (int64_t i = 0; i < g.numel(); ++i) {
+      max_abs = std::max(max_abs, std::fabs(g.data()[i]));
+      max_diff = std::max(max_diff, std::fabs(g.data()[i] - h.data()[i]));
+    }
+    EXPECT_LE(max_diff, 1e-5f * max_abs) << name << " max-abs " << max_abs;
+  }
+}
+
+EalgapOptions AttentionDimTwo() {
+  EalgapOptions o;
+  o.attention_dim = 2;
+  return o;
+}
+EalgapOptions DegreeLoss() {
+  EalgapOptions o;
+  o.degree_loss_weight = 1.f;  // see SingletonLoss
+  return o;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Variants, BatchParityTest,
+    ::testing::Combine(
+        ::testing::Values(BatchCase{"full", Full()},
+                          BatchCase{"global_only", GlobalOnly()},
+                          BatchCase{"extreme_only", ExtremeOnly()},
+                          BatchCase{"normal", NormalFamily()},
+                          BatchCase{"j2", AttentionDimTwo()},
+                          BatchCase{"degree_loss", DegreeLoss()}),
+        ::testing::Values(1, 3, 16)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) + "_b" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+class WholeModelGradTest
+    : public ::testing::TestWithParam<std::tuple<int64_t, float>> {};
+
+TEST_P(WholeModelGradTest, BatchedLossMatchesFiniteDifferences) {
+  // Every parameter of the full model, through the stacked forward and the
+  // batched loss (the Eq. 10 degree term on or off): B = 2, N = 3, L = 5,
+  // M = 3.
+  const int64_t j = std::get<0>(GetParam());
+  const float degree_weight = std::get<1>(GetParam());
+  data::DatasetOptions options;
+  options.history_length = 5;
+  options.num_windows = 3;
+  options.norm_history = 3;
+  auto ds = data::SlidingWindowDataset::Create(MakeSeries(3, 30, 31), options);
+  ASSERT_TRUE(ds.ok());
+  auto split = data::MakeChronoSplit(*ds);
+  ASSERT_TRUE(split.ok());
+  EalgapOptions model_options;
+  model_options.hidden = 8;
+  model_options.gru_hidden = 4;
+  model_options.attention_dim = j;
+  model_options.degree_loss_weight = degree_weight;
+  BatchProbe model(model_options);
+  TrainConfig train;
+  train.epochs = 0;  // initialized weights; sets the input scale
+  train.seed = 17;
+  ASSERT_TRUE(model.Fit(*ds, *split, train).ok());
+  const auto steps = ds->TargetSteps(split->train_begin, split->train_end);
+  const std::vector<data::WindowSample> batch = {ds->MakeSample(steps[3]),
+                                                 ds->MakeSample(steps[40])};
+  // The Eq. (10) target is the realized degree under the current gamma and
+  // eps, held constant: finite differences see its dependence on them, the
+  // gradient by design does not. With the degree term on they are checked
+  // only through the other terms, i.e. in the degree-off cases.
+  auto skip = [degree_weight](const std::string& name) {
+    return degree_weight > 0.f &&
+           (name == "extreme.gamma" || name == "extreme.epsilon");
+  };
+  testing::ExpectParameterGradientsMatch(
+      *model.module(),
+      [&]() {
+        Var pred;
+        return BatchedLoss(model, batch, &pred);
+      },
+      1e-3f, 2e-2f, skip);
+}
+
+INSTANTIATE_TEST_SUITE_P(AttentionDimAndDegreeLoss, WholeModelGradTest,
+                         ::testing::Combine(::testing::Values(1, 2),
+                                            ::testing::Values(0.f, 0.5f)));
 
 TEST(EalgapTest, SaveLoadPreservesPredictions) {
   Env env = MakeEnv(22);
