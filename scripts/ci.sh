@@ -3,8 +3,8 @@
 # experiment sweep (crash + resume must reproduce the clean run byte for
 # byte), chaos-soak the serving daemon with faults armed (plain and
 # adaptive), TSan the concurrent serving paths, ASan the checkpoint/resume
-# readers and the loader mutation test, and UBSan the adaptation
-# arithmetic.
+# readers, the loader mutation test and Eq. 6's training kernels, and
+# UBSan the adaptation arithmetic.
 #
 # Usage: scripts/ci.sh
 #   BUILD_DIR=<dir>       main build directory   (default: build)
@@ -58,7 +58,11 @@ echo "===== interrupt-resume stage: crash a sweep, resume it, diff vs clean ====
 # the resulting journal must be byte-identical to one from a clean sweep —
 # the journal format deliberately carries no wall-clock fields.
 RESUME_TMP="$(mktemp -d)"
-trap 'rm -rf "$RESUME_TMP"' EXIT
+BENCH_TMP=""
+# One EXIT trap removes every scratch directory: a second `trap ... EXIT`
+# would replace this one and leak $RESUME_TMP.
+cleanup() { rm -rf "$RESUME_TMP" ${BENCH_TMP:+"$BENCH_TMP"}; }
+trap cleanup EXIT
 TOOL="./$BUILD_DIR/tools/ealgap_tool"
 SWEEP_ARGS=(--cities nyc_bike --periods normal --schemes HA,ARIMA --scale 0.35)
 if EALGAP_FAULTS="io.write.fail:every=1:after=1" \
@@ -179,7 +183,7 @@ for t in serve_parity_test determinism_test thread_pool_test \
   EALGAP_NUM_THREADS=4 "./$TSAN_BUILD_DIR/tests/$t"
 done
 
-echo "===== ASan: checkpoint/resume + loader mutation + fault-injection + arena paths ====="
+echo "===== ASan: checkpoint/resume + loader mutation + fault-injection + arena + Eq. 6 kernel paths ====="
 # The resume machinery shuffles large snapshots (params, Adam moments, RNG
 # streams) through the state-file container and back; AddressSanitizer
 # guards the readers against overreads on truncated or corrupt files.
@@ -191,13 +195,16 @@ echo "===== ASan: checkpoint/resume + loader mutation + fault-injection + arena 
 # compiles out (ASan owns malloc) and the counting assertions self-skip,
 # which turns the 240-step replays into a lifetime check of the exact
 # arena checkpoint/rewind scenario — a use-after-rewind trips ASan here.
+# autograd_test and vec_test hold the parity tests of Eq. 6's training
+# kernels (RegionAttention), which index per-lane scratch by L and J: here
+# every table runs them at L and J past the serve kernel's stack caps.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -G Ninja -DEALGAP_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target \
   train_resume_test fault_injection_test experiment_test alloc_guard_test \
-  loader_fuzz_test
+  loader_fuzz_test autograd_test vec_test
 for t in train_resume_test fault_injection_test experiment_test \
-         alloc_guard_test loader_fuzz_test; do
+         alloc_guard_test loader_fuzz_test autograd_test vec_test; do
   echo "----- ASan: $t -----"
   "./$ASAN_BUILD_DIR/tests/$t"
 done
@@ -223,8 +230,7 @@ if [[ "${EALGAP_CI_BENCH:-0}" == "1" ]]; then
   echo "===== bench stage: regression check vs committed baselines ====="
   # Measure into a scratch directory (never overwrites the committed
   # baselines; re-record those deliberately with scripts/bench_to_json.sh).
-  BENCH_TMP="$(mktemp -d)"
-  trap 'rm -rf "$BENCH_TMP"' EXIT
+  BENCH_TMP="$(mktemp -d)"  # removed by the cleanup trap
   for pair in "micro_tensor_ops:BENCH_tensor_ops.json" \
               "micro_serve:BENCH_serve.json" \
               "micro_daemon:BENCH_daemon.json" \

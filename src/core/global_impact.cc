@@ -1,7 +1,5 @@
 #include "core/global_impact.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace ealgap {
@@ -58,21 +56,10 @@ GlobalImpactModule::Output GlobalImpactModule::Forward(const Var& x) const {
   Var h = SoftmaxLastDim(dec1_.Forward(Reshape(zv, {b, n_ * l})));
   h = SoftmaxLastDim(dec2_.Forward(h));
   Var w = Reshape(dec3_.Forward(h), {rows, 3 * j_});  // per-region W^Q/K/V
-  Var wq = Slice(w, 1, 0, j_);
-  Var wk = Slice(w, 1, j_, 2 * j_);
-  Var wv = Slice(w, 1, 2 * j_, 3 * j_);
 
   // A-2: per-region temporal self-attention (Eq. 6). Q[n,l,:] is the
-  // scalar history value projected by the region's J-vector (I = 1):
-  // outer products via batched matmul.
-  Var x3 = Reshape(x, {rows, l, 1});
-  Var q = BMatMul(x3, Reshape(wq, {rows, 1, j_}));  // (B·N, L, J)
-  Var k = BMatMul(x3, Reshape(wk, {rows, 1, j_}));
-  Var v = BMatMul(x3, Reshape(wv, {rows, 1, j_}));
-  Var logits = MulScalar(BMatMul(q, TransposeLast2(k)),
-                         1.f / std::sqrt(static_cast<float>(j_)));
-  Var scores = SoftmaxLastDim(logits);  // (B·N, L, L)
-  Var xg3 = BMatMul(scores, v);         // (B·N, L, J)
+  // scalar history value projected by the region's J-vector (I = 1).
+  Var xg3 = RegionAttention(x.value(), w, j_);  // (B·N, L, J)
   Output out;
   if (j_ == 1) {
     out.xg_history = Reshape(xg3, {rows, l});

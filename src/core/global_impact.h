@@ -47,9 +47,9 @@ class GlobalImpactModule : public nn::Module {
   /// on the region axis (sample b's regions at rows b·N .. b·N+N-1; one
   /// sample is B = 1). The decoder reads each sample's (N·L) densities as
   /// one row; everything else is per region. Every row is computed as it
-  /// would be alone. The distribution fit and PDF evaluation are data (not
-  /// differentiated through), matching the paper's data-driven parameter
-  /// generation.
+  /// would be alone. x is data: gradients reach the parameters, not x (the
+  /// distribution fit and PDF evaluation are not differentiated through,
+  /// matching the paper's data-driven parameter generation).
   Output Forward(const Var& x) const;
 
   stats::DistributionFamily family() const { return family_; }

@@ -213,7 +213,8 @@ void Backward(const Var& root) {
 // Op definitions. Each backward closure captures the input nodes it needs by
 // shared_ptr so the graph stays alive until backward completes. The closures
 // are built inside a factory lambda so nothing is materialized on the
-// no-grad path.
+// no-grad path. Two-input closures skip a parent that does not require
+// gradients, whose AccumulateGrad would drop the result.
 // ---------------------------------------------------------------------------
 
 Var Add(const Var& a, const Var& b) {
@@ -232,8 +233,8 @@ Var Sub(const Var& a, const Var& b) {
   return MakeOp(std::move(out), {&a, &b}, [&] {
     auto na = a.node(), nb = b.node();
     return [na, nb](const Tensor& g) {
-      na->AccumulateGrad(g);
-      nb->AccumulateGrad(ops::Neg(g));
+      if (na->requires_grad) na->AccumulateGrad(g);
+      if (nb->requires_grad) nb->AccumulateGrad(ops::Neg(g));
     };
   });
 }
@@ -243,8 +244,8 @@ Var Mul(const Var& a, const Var& b) {
   return MakeOp(std::move(out), {&a, &b}, [&] {
     auto na = a.node(), nb = b.node();
     return [na, nb](const Tensor& g) {
-      na->AccumulateGrad(ops::Mul(g, nb->value));
-      nb->AccumulateGrad(ops::Mul(g, na->value));
+      if (na->requires_grad) na->AccumulateGrad(ops::Mul(g, nb->value));
+      if (nb->requires_grad) nb->AccumulateGrad(ops::Mul(g, na->value));
     };
   });
 }
@@ -254,10 +255,12 @@ Var Div(const Var& a, const Var& b) {
   return MakeOp(std::move(out), {&a, &b}, [&] {
     auto na = a.node(), nb = b.node();
     return [na, nb](const Tensor& g) {
-      na->AccumulateGrad(ops::Div(g, nb->value));
-      // d/db (a/b) = -a / b^2
-      Tensor b2 = ops::Mul(nb->value, nb->value);
-      nb->AccumulateGrad(ops::Neg(ops::Div(ops::Mul(g, na->value), b2)));
+      if (na->requires_grad) na->AccumulateGrad(ops::Div(g, nb->value));
+      if (nb->requires_grad) {
+        // d/db (a/b) = -a / b^2
+        Tensor b2 = ops::Mul(nb->value, nb->value);
+        nb->AccumulateGrad(ops::Neg(ops::Div(ops::Mul(g, na->value), b2)));
+      }
     };
   });
 }
@@ -383,8 +386,12 @@ Var MatMul(const Var& a, const Var& b) {
   return MakeOp(std::move(out), {&a, &b}, [&] {
     auto na = a.node(), nb = b.node();
     return [na, nb](const Tensor& g) {
-      na->AccumulateGrad(ops::MatMul(g, ops::TransposeLast2(nb->value)));
-      nb->AccumulateGrad(ops::MatMul(ops::TransposeLast2(na->value), g));
+      if (na->requires_grad) {
+        na->AccumulateGrad(ops::MatMul(g, ops::TransposeLast2(nb->value)));
+      }
+      if (nb->requires_grad) {
+        nb->AccumulateGrad(ops::MatMul(ops::TransposeLast2(na->value), g));
+      }
     };
   });
 }
@@ -394,8 +401,27 @@ Var BMatMul(const Var& a, const Var& b) {
   return MakeOp(std::move(out), {&a, &b}, [&] {
     auto na = a.node(), nb = b.node();
     return [na, nb](const Tensor& g) {
-      na->AccumulateGrad(ops::BMatMul(g, ops::TransposeLast2(nb->value)));
-      nb->AccumulateGrad(ops::BMatMul(ops::TransposeLast2(na->value), g));
+      if (na->requires_grad) {
+        na->AccumulateGrad(ops::BMatMul(g, ops::TransposeLast2(nb->value)));
+      }
+      if (nb->requires_grad) {
+        nb->AccumulateGrad(ops::BMatMul(ops::TransposeLast2(na->value), g));
+      }
+    };
+  });
+}
+
+Var RegionAttention(const Tensor& x, const Var& w, int64_t j) {
+  // The scores are kept only for a backward that can run.
+  const bool record = GradEnabled() && w.requires_grad();
+  Tensor scores;
+  Tensor out =
+      ops::RegionAttention(x, w.value(), j, record ? &scores : nullptr);
+  return MakeOp(std::move(out), {&w}, [&] {
+    auto nw = w.node();
+    return [nw, x, scores, j](const Tensor& g) {
+      nw->AccumulateGrad(
+          ops::RegionAttentionBackward(x, nw->value, scores, g, j));
     };
   });
 }

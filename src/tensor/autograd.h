@@ -102,6 +102,13 @@ Var Abs(const Var& a);
 Var MatMul(const Var& a, const Var& b);
 Var BMatMul(const Var& a, const Var& b);
 Var TransposeLast2(const Var& a);
+/// Eq. 6's per-region temporal self-attention, Softmax(Q K^T / sqrt(J)) V,
+/// for R regions at once: region r's history is row r of x (R, L) and its
+/// [W^Q | W^K | W^V] row r of w (R, 3J); Q, K and V are the history times
+/// each J-vector. Returns (R, L, J). x is data: only w is differentiated.
+/// Outputs and dw equal the BMatMul/Slice/SoftmaxLastDim graph it replaces
+/// bit for bit.
+Var RegionAttention(const Tensor& x, const Var& w, int64_t j);
 Var SumAll(const Var& a);
 Var MeanAll(const Var& a);
 Var SumAxis(const Var& a, int64_t axis, bool keepdim = true);

@@ -64,6 +64,31 @@ struct EalgapServeArgs {
   double* out = nullptr;  ///< (N) predicted counts, clamped at 0
 };
 
+/// Operands of Eq. 6's per-region attention (RegionAttention in
+/// tensor/autograd.h): region r's history is row r of x, its
+/// [W^Q | W^K | W^V] projections row r of w, and its output the (L, J)
+/// block r of out. Rows are contiguous and row-major.
+struct RegionAttentionArgs {
+  int64_t l = 0;        ///< history length L
+  int64_t j = 0;        ///< attention width J
+  float scale = 1.f;    ///< the logits' scale, 1/sqrt(J)
+  const float* x = nullptr;  ///< (R, L)
+  const float* w = nullptr;  ///< (R, 3J)
+  float* out = nullptr;  ///< forward: (R, L, J)
+  /// forward: the (R, L, L) softmax scores, written when non-null.
+  float* scores_out = nullptr;
+  const float* scores = nullptr;  ///< backward: the forward's scores
+  const float* gout = nullptr;    ///< backward: (R, L, J) d loss / d out
+  float* dw = nullptr;            ///< backward: (R, 3J) d loss / d w
+};
+
+/// Floats of 64-byte-aligned scratch one region_attention or
+/// region_attention_backward call needs, in any table.
+inline int64_t RegionAttentionScratchFloats(int64_t l, int64_t j) {
+  constexpr int64_t kMaxLanes = 16;
+  return kMaxLanes * (2 * l * l + 4 * l * j + 2 * l + 3 * j);
+}
+
 /// All kernels take raw pointers (no alignment requirement) and an element
 /// count; `n == 0` is a no-op. Reduction kernels define a fixed
 /// accumulation order (4 interleaved double lanes, combined in lane order)
@@ -145,6 +170,16 @@ struct KernelTable {
   /// max repeats this table's own max_block tree.
   void (*ealgap_serve_rows)(const EalgapServeArgs& a, int64_t r0, int64_t r1);
 
+  /// Eq. 6 over regions [r0, r1), one region per lane, and its gradient
+  /// with respect to w. The forward equals the graph of BMatMuls,
+  /// MulScalar and softmax rows it replaces bit for bit, and the backward
+  /// that graph's backward (whose Slice scatters added each dw element
+  /// onto +0). `scratch` holds RegionAttentionScratchFloats(l, j) floats,
+  /// 64-byte aligned.
+  void (*region_attention)(const RegionAttentionArgs& a, int64_t r0,
+                           int64_t r1, float* scratch);
+  void (*region_attention_backward)(const RegionAttentionArgs& a, int64_t r0,
+                                    int64_t r1, float* scratch);
 };
 
 /// The active table (resolved once: CPU detection + EALGAP_SIMD override).

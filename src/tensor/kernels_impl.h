@@ -425,7 +425,7 @@ void CopyK(const float* src, float* dst, int64_t n) {
   std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
 }
 
-// --- EALGAP fused serve pass ---
+// --- per-region lane blocks: Eq. 6 and the EALGAP fused serve pass ---
 
 /// Lane i of the result is p[i * stride]: one field of kWidth consecutive
 /// regions' rows.
@@ -436,24 +436,40 @@ typename L::V GatherLanes(const float* p, int64_t stride) {
   return L::Load(lanes);
 }
 
-/// sum_p a[p] * b(p) in MatMulRows' per-element tree: products in groups
+/// p[i * stride] = lane i of v, the inverse of GatherLanes.
+template <class L>
+void ScatterLanes(typename L::V v, float* p, int64_t stride) {
+  float lanes[L::kWidth];
+  L::Store(lanes, v);
+  for (int i = 0; i < L::kWidth; ++i) p[i * stride] = lanes[i];
+}
+
+/// p -> a[p * stride]: a row (stride 1) or a column of a lane array, as a
+/// DotTree operand.
+template <class V>
+auto Strided(const V* a, int64_t stride = 1) {
+  return [a, stride](int64_t p) { return a[p * stride]; };
+}
+
+/// sum_p a(p) * b(p) in MatMulRows' per-element tree: products in groups
 /// of four, ((a0*b0 + a1*b1) + a2*b2) + a3*b3, each group added onto a
 /// running value that starts at 0, then the remainder one product at a
-/// time. `b(p)` yields the right-hand operand (a broadcast weight or a
+/// time. `a(p)` and `b(p)` yield the operands (a broadcast weight or a
 /// per-region value).
-template <class L, class BFn>
-typename L::V DotTree(const typename L::V* a, int64_t k, BFn b) {
+template <class L, class AFn, class BFn>
+[[gnu::always_inline]] inline typename L::V DotTree(int64_t k, AFn a,
+                                                    BFn b) {
   using V = typename L::V;
   V acc = L::Set1(0.f);
   int64_t p = 0;
   for (; p + 4 <= k; p += 4) {
-    V t = L::Mul(a[p], b(p));
-    t = L::Add(t, L::Mul(a[p + 1], b(p + 1)));
-    t = L::Add(t, L::Mul(a[p + 2], b(p + 2)));
-    t = L::Add(t, L::Mul(a[p + 3], b(p + 3)));
+    V t = L::Mul(a(p), b(p));
+    t = L::Add(t, L::Mul(a(p + 1), b(p + 1)));
+    t = L::Add(t, L::Mul(a(p + 2), b(p + 2)));
+    t = L::Add(t, L::Mul(a(p + 3), b(p + 3)));
     acc = L::Add(acc, t);
   }
-  for (; p < k; ++p) acc = L::Add(acc, L::Mul(a[p], b(p)));
+  for (; p < k; ++p) acc = L::Add(acc, L::Mul(a(p), b(p)));
   return acc;
 }
 
@@ -462,7 +478,7 @@ typename L::V DotTree(const typename L::V* a, int64_t k, BFn b) {
 template <class L>
 typename L::V DotCol(const typename L::V* a, int64_t k, const float* w,
                      int64_t cols) {
-  return DotTree<L>(a, k,
+  return DotTree<L>(k, Strided(a),
                     [w, cols](int64_t p) { return L::Set1(w[p * cols]); });
 }
 
@@ -488,6 +504,69 @@ typename L::V RowMax(const typename L::V* p, int64_t n) {
   return m;
 }
 
+/// SoftmaxRow over row[0..n), lane-wise and in place: the max in
+/// MaxBlock's tree for a kTree-wide table, exp(x - max), the double-lane
+/// SumBlock denominator and ScaleIp's multiply by its rounded reciprocal.
+template <class L, int kTree>
+[[gnu::always_inline]] inline void SoftmaxLanes(typename L::V* row,
+                                                int64_t n) {
+  const typename L::V mx = RowMax<L, kTree>(row, n);
+  typename L::DV lanes[4] = {L::DZeroV(), L::DZeroV(), L::DZeroV(),
+                             L::DZeroV()};
+  for (int64_t j = 0; j < n; ++j) {
+    row[j] = vec::VExp<L>(L::Sub(row[j], mx));
+    lanes[j & 3] = L::DAdd(lanes[j & 3], L::DWiden(row[j]));
+  }
+  const typename L::V inv = L::DRecip(
+      L::DAdd(L::DAdd(L::DAdd(lanes[0], lanes[1]), lanes[2]), lanes[3]));
+  for (int64_t j = 0; j < n; ++j) row[j] = L::Mul(row[j], inv);
+}
+
+/// Eq. 6's projections q, k, v (L, J) of the history x[0..L) by
+/// w[0..3J) = [W^Q | W^K | W^V]: BMatMuls of (L, 1) by (1, J) onto a
+/// zeroed output, so each element is 0 + x*w.
+template <class L>
+[[gnu::always_inline]] inline void ProjectLanes(
+    const typename L::V* x, const typename L::V* w, int64_t nl, int64_t nj,
+    typename L::V* q, typename L::V* k, typename L::V* v) {
+  const typename L::V zero = L::Set1(0.f);
+  for (int64_t i = 0; i < nl; ++i) {
+    for (int64_t c = 0; c < nj; ++c) {
+      q[i * nj + c] = L::Add(zero, L::Mul(x[i], w[c]));
+      k[i * nj + c] = L::Add(zero, L::Mul(x[i], w[nj + c]));
+      v[i * nj + c] = L::Add(zero, L::Mul(x[i], w[2 * nj + c]));
+    }
+  }
+}
+
+/// Eq. 6 for one block of regions, one per lane: Xg = Softmax(QK^T *
+/// scale) V from the history x[0..L) and w[0..3J), into xg (L, J). The
+/// one copy of Eq. 6's element order, shared by training and serving:
+/// ProjectLanes, the logits as the BMatMul of q by k^T times `scale`
+/// (MulScalar), SoftmaxLanes with kTree the width of the table the
+/// graph's softmax_row ran on, then the BMatMul of the scores by v.
+/// `on_scores(i, row)` sees score row i. q, k, v and xg hold L*J lanes,
+/// row L. Always inlined, so a caller's compile-time L and J fix the loops.
+template <class L, int kTree, class OnScores>
+[[gnu::always_inline]] inline void AttentionLanes(
+    const typename L::V* x, const typename L::V* w, int64_t nl, int64_t nj,
+    float scale, typename L::V* q, typename L::V* k, typename L::V* v,
+    typename L::V* row, typename L::V* xg, OnScores on_scores) {
+  ProjectLanes<L>(x, w, nl, nj, q, k, v);
+  const typename L::V vscale = L::Set1(scale);
+  for (int64_t i = 0; i < nl; ++i) {
+    for (int64_t m = 0; m < nl; ++m) {
+      row[m] = L::Mul(DotTree<L>(nj, Strided(q + i * nj), Strided(k + m * nj)),
+                      vscale);
+    }
+    SoftmaxLanes<L, kTree>(row, nl);
+    on_scores(i, static_cast<const typename L::V*>(row));
+    for (int64_t c = 0; c < nj; ++c) {
+      xg[i * nj + c] = DotTree<L>(nl, Strided(row), Strided(v + c, nj));
+    }
+  }
+}
+
 /// Regions [r, r + L::kWidth), one per lane. Each step names the graph op
 /// whose per-element order it repeats; kTree is the width of the table
 /// the graph path's softmax_row ran on. kL/kHidden/kGru fix L and the
@@ -500,39 +579,15 @@ void EalgapServeBlock(const EalgapServeArgs& a, int64_t r) {
   const int64_t g = kGru > 0 ? kGru : a.gru;
   const V zero = L::Set1(0.f);
 
-  // Eq. 6 at J = 1. q/k/v and the logits are BMatMuls onto a zeroed
-  // output (0 + x*w); the logits are then multiplied by 1/sqrt(J) = 1.
+  // Eq. 6 at J = 1, where the logits' scale 1/sqrt(J) is 1.
   V x[kEalgapServeMaxHistory], q[kEalgapServeMaxHistory],
-      k[kEalgapServeMaxHistory], v[kEalgapServeMaxHistory];
-  const V wq = GatherLanes<L>(a.wqkv + r * 3, 3);
-  const V wk = GatherLanes<L>(a.wqkv + r * 3 + 1, 3);
-  const V wv = GatherLanes<L>(a.wqkv + r * 3 + 2, 3);
-  for (int64_t j = 0; j < nl; ++j) {
-    x[j] = GatherLanes<L>(a.x + r * nl + j, nl);
-    q[j] = L::Add(zero, L::Mul(x[j], wq));
-    k[j] = L::Add(zero, L::Mul(x[j], wk));
-    v[j] = L::Add(zero, L::Mul(x[j], wv));
-  }
-  const V attn_scale = L::Set1(1.f);
-  V xg[kEalgapServeMaxHistory], row[kEalgapServeMaxHistory];
-  for (int64_t i = 0; i < nl; ++i) {
-    for (int64_t j = 0; j < nl; ++j) {
-      row[j] = L::Mul(L::Add(zero, L::Mul(q[i], k[j])), attn_scale);
-    }
-    // SoftmaxRow: max, exp(x - max), double-lane SumBlock, ScaleIp.
-    const V mx = RowMax<L, kTree>(row, nl);
-    typename L::DV lanes[4] = {L::DZeroV(), L::DZeroV(), L::DZeroV(),
-                               L::DZeroV()};
-    for (int64_t j = 0; j < nl; ++j) {
-      row[j] = vec::VExp<L>(L::Sub(row[j], mx));
-      lanes[j & 3] = L::DAdd(lanes[j & 3], L::DWiden(row[j]));
-    }
-    const V inv = L::DRecip(
-        L::DAdd(L::DAdd(L::DAdd(lanes[0], lanes[1]), lanes[2]), lanes[3]));
-    for (int64_t j = 0; j < nl; ++j) row[j] = L::Mul(row[j], inv);
-    // scores . v: BMatMul of the (L, L) scores by the (L, 1) values.
-    xg[i] = DotTree<L>(row, nl, [&v](int64_t p) { return v[p]; });
-  }
+      k[kEalgapServeMaxHistory], v[kEalgapServeMaxHistory],
+      row[kEalgapServeMaxHistory], xg[kEalgapServeMaxHistory];
+  V wqkv[3];
+  for (int c = 0; c < 3; ++c) wqkv[c] = GatherLanes<L>(a.wqkv + r * 3 + c, 3);
+  for (int64_t j = 0; j < nl; ++j) x[j] = GatherLanes<L>(a.x + r * nl + j, nl);
+  AttentionLanes<L, kTree>(x, wqkv, nl, 1, 1.f, q, k, v, row, xg,
+                           [](int64_t, const V*) {});
 
   // Eq. 7: pred1..3, ReLU after the first two (Linear = MatMul, bias add).
   V p1[kEalgapServeMaxHidden], p2[kEalgapServeMaxHidden];
@@ -620,6 +675,163 @@ void EalgapServeRows(const EalgapServeArgs& a, int64_t r0, int64_t r1) {
   }
 }
 
+// --- Eq. 6 for training: RegionAttention's forward and backward ---
+
+/// Lane arrays of the Eq. 6 kernels, carved from their scratch in the
+/// order RegionAttentionScratchFloats counts them. The forward uses x, w,
+/// q, k, v, row and lj (as its output); the backward all of them, with lj
+/// holding the incoming gradient, row a column of an intermediate
+/// gradient, ll the scores and d the logits' gradient.
+template <class L>
+struct AttentionArrays {
+  using V = typename L::V;
+  V *x, *w, *q, *k, *v, *row, *lj, *ll, *d;
+  AttentionArrays(float* scratch, int64_t nl, int64_t nj) {
+    V* p = reinterpret_cast<V*>(scratch);
+    auto take = [&p](int64_t count) {
+      V* block = p;
+      p += count;
+      return block;
+    };
+    x = take(nl);
+    w = take(3 * nj);
+    q = take(nl * nj);
+    k = take(nl * nj);
+    v = take(nl * nj);
+    row = take(nl);
+    lj = take(nl * nj);
+    ll = take(nl * nl);
+    d = take(nl * nl);
+  }
+};
+
+/// Gathers the block's histories and projections into s.x and s.w.
+template <class L>
+void GatherAttentionInputs(const RegionAttentionArgs& a, int64_t r,
+                           int64_t nl, int64_t nj, AttentionArrays<L>& s) {
+  for (int64_t i = 0; i < nl; ++i) {
+    s.x[i] = GatherLanes<L>(a.x + r * nl + i, nl);
+  }
+  for (int64_t c = 0; c < 3 * nj; ++c) {
+    s.w[c] = GatherLanes<L>(a.w + r * 3 * nj + c, 3 * nj);
+  }
+}
+
+/// Forward of regions [r, r + L::kWidth): AttentionLanes, its output and
+/// (when a.scores_out is set) its scores scattered back to region rows.
+template <class L, int kTree>
+void RegionAttentionBlock(const RegionAttentionArgs& a, int64_t r,
+                          float* scratch) {
+  using V = typename L::V;
+  const int64_t nl = a.l, nj = a.j;
+  const int64_t lj = nl * nj, ll = nl * nl;
+  AttentionArrays<L> s(scratch, nl, nj);
+  GatherAttentionInputs<L>(a, r, nl, nj, s);
+  float* scores = a.scores_out == nullptr ? nullptr : a.scores_out + r * ll;
+  AttentionLanes<L, kTree>(
+      s.x, s.w, nl, nj, a.scale, s.q, s.k, s.v, s.row, s.lj,
+      [scores, nl, ll](int64_t i, const V* row) {
+        if (scores == nullptr) return;
+        for (int64_t m = 0; m < nl; ++m) {
+          ScatterLanes<L>(row[m], scores + i * nl + m, ll);
+        }
+      });
+  for (int64_t e = 0; e < lj; ++e) {
+    ScatterLanes<L>(s.lj[e], a.out + r * lj + e, lj);
+  }
+}
+
+/// dw of regions [r, r + L::kWidth). Each step repeats the backward of
+/// the graph op named beside it; q, k and v are recomputed by
+/// ProjectLanes, bit for bit the forward's.
+template <class L>
+void RegionAttentionBackwardBlock(const RegionAttentionArgs& a, int64_t r,
+                                  float* scratch) {
+  using V = typename L::V;
+  const int64_t nl = a.l, nj = a.j;
+  const int64_t lj = nl * nj, ll = nl * nl;
+  AttentionArrays<L> s(scratch, nl, nj);
+  GatherAttentionInputs<L>(a, r, nl, nj, s);
+  ProjectLanes<L>(s.x, s.w, nl, nj, s.q, s.k, s.v);
+  V* const g = s.lj;
+  V* const sc = s.ll;
+  for (int64_t e = 0; e < ll; ++e) {
+    sc[e] = GatherLanes<L>(a.scores + r * ll + e, ll);
+  }
+  for (int64_t e = 0; e < lj; ++e) {
+    g[e] = GatherLanes<L>(a.gout + r * lj + e, lj);
+  }
+  const V zero = L::Set1(0.f);
+  const V vscale = L::Set1(a.scale);
+  float* dw = a.dw + r * 3 * nj;
+  // The graph's dW^Q/K/V came through Slice, whose scatter added each
+  // element onto +0.
+  auto store_dw = [&](int64_t col, V value) {
+    ScatterLanes<L>(L::Add(value, zero), dw + col, 3 * nj);
+  };
+  for (int64_t c = 0; c < nj; ++c) {
+    // d v = BMatMul(scores^T, g), then dW^V = BMatMul(x^T, d v).
+    for (int64_t m = 0; m < nl; ++m) {
+      s.row[m] = DotTree<L>(nl, Strided(sc + m, nl), Strided(g + c, nj));
+    }
+    store_dw(2 * nj + c, DotTree<L>(nl, Strided(s.x), Strided(s.row)));
+  }
+  V* const d = s.d;
+  for (int64_t i = 0; i < nl; ++i) {
+    // d scores = BMatMul(g, v^T); the softmax backward s * (ds - sum(ds *
+    // s)), its sum a SumAxis from 0; then MulScalar's scale.
+    V* di = d + i * nl;
+    const V* si = sc + i * nl;
+    V dot = zero;
+    for (int64_t m = 0; m < nl; ++m) {
+      di[m] = DotTree<L>(nj, Strided(g + i * nj), Strided(s.v + m * nj));
+      dot = L::Add(dot, L::Mul(di[m], si[m]));
+    }
+    for (int64_t m = 0; m < nl; ++m) {
+      di[m] = L::Mul(L::Mul(si[m], L::Sub(di[m], dot)), vscale);
+    }
+  }
+  for (int64_t c = 0; c < nj; ++c) {
+    // d q = BMatMul(d logits, k), then dW^Q = BMatMul(x^T, d q).
+    for (int64_t i = 0; i < nl; ++i) {
+      s.row[i] = DotTree<L>(nl, Strided(d + i * nl), Strided(s.k + c, nj));
+    }
+    store_dw(c, DotTree<L>(nl, Strided(s.x), Strided(s.row)));
+    // d k^T = BMatMul(q^T, d logits), then dW^K = BMatMul(x^T, d k).
+    for (int64_t m = 0; m < nl; ++m) {
+      s.row[m] = DotTree<L>(nl, Strided(s.q + c, nj), Strided(d + m, nl));
+    }
+    store_dw(nj + c, DotTree<L>(nl, Strided(s.x), Strided(s.row)));
+  }
+}
+
+/// Full blocks of B::kWidth regions, then the remainder through
+/// B::Narrower, as EalgapServeRange walks them; kTree stays the
+/// dispatching table's width.
+template <class B, int kTree>
+void RegionAttentionRange(const RegionAttentionArgs& a, int64_t r0,
+                          int64_t r1, float* scratch) {
+  int64_t r = r0;
+  for (; r + B::kWidth <= r1; r += B::kWidth) {
+    RegionAttentionBlock<B, kTree>(a, r, scratch);
+  }
+  if constexpr (B::kWidth > 1) {
+    RegionAttentionRange<typename B::Narrower, kTree>(a, r, r1, scratch);
+  }
+}
+
+template <class B>
+void RegionAttentionBackward(const RegionAttentionArgs& a, int64_t r0,
+                             int64_t r1, float* scratch) {
+  int64_t r = r0;
+  for (; r + B::kWidth <= r1; r += B::kWidth) {
+    RegionAttentionBackwardBlock<B>(a, r, scratch);
+  }
+  if constexpr (B::kWidth > 1) {
+    RegionAttentionBackward<typename B::Narrower>(a, r, r1, scratch);
+  }
+}
+
 template <class B>
 KernelTable MakeTable(Backend backend) {
   KernelTable t;
@@ -662,6 +874,8 @@ KernelTable MakeTable(Backend backend) {
   t.copy = &CopyK<B>;
   t.matmul_rows = &MatMulRows<B>;
   t.ealgap_serve_rows = &EalgapServeRows<B>;
+  t.region_attention = &RegionAttentionRange<B, B::kWidth>;
+  t.region_attention_backward = &RegionAttentionBackward<B>;
   return t;
 }
 

@@ -386,6 +386,70 @@ Tensor BMatMul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+namespace {
+
+/// Checks RegionAttention's operand shapes and fills the kernel arguments
+/// shared by its forward and backward.
+kernels::RegionAttentionArgs AttentionArgs(const Tensor& x, const Tensor& w,
+                                           int64_t j) {
+  EALGAP_CHECK_EQ(x.ndim(), 2);
+  EALGAP_CHECK_EQ(w.ndim(), 2);
+  EALGAP_CHECK_GE(j, 1);
+  EALGAP_CHECK_EQ(x.dim(0), w.dim(0));
+  EALGAP_CHECK_EQ(w.dim(1), 3 * j) << "w must hold [W^Q | W^K | W^V]";
+  kernels::RegionAttentionArgs a;
+  a.l = x.dim(1);
+  a.j = j;
+  a.scale = 1.f / std::sqrt(static_cast<float>(j));
+  a.x = x.data();
+  a.w = w.data();
+  return a;
+}
+
+/// Runs an Eq. 6 kernel over the regions, each chunk with its own scratch.
+void ForRegions(const kernels::RegionAttentionArgs& a, int64_t rows,
+                void (*kernel)(const kernels::RegionAttentionArgs&, int64_t,
+                               int64_t, float*)) {
+  const int64_t region_ops = std::max<int64_t>(1, a.l * a.l * (a.j + 1));
+  const int64_t grain = std::max<int64_t>(1, kMatMulGrainOps / region_ops);
+  ParallelFor(0, rows, grain, [&](int64_t r0, int64_t r1) {
+    Tensor scratch({kernels::RegionAttentionScratchFloats(a.l, a.j)});
+    kernel(a, r0, r1, scratch.data());
+  });
+}
+
+}  // namespace
+
+Tensor RegionAttention(const Tensor& x, const Tensor& w, int64_t j,
+                       Tensor* scores) {
+  kernels::RegionAttentionArgs a = AttentionArgs(x, w, j);
+  const int64_t rows = x.dim(0);
+  Tensor out({rows, a.l, j});
+  a.out = out.data();
+  if (scores != nullptr) {
+    *scores = Tensor({rows, a.l, a.l});
+    a.scores_out = scores->data();
+  }
+  ForRegions(a, rows, kernels::Active().region_attention);
+  return out;
+}
+
+Tensor RegionAttentionBackward(const Tensor& x, const Tensor& w,
+                               const Tensor& scores, const Tensor& gout,
+                               int64_t j) {
+  kernels::RegionAttentionArgs a = AttentionArgs(x, w, j);
+  const int64_t rows = x.dim(0);
+  EALGAP_CHECK(scores.shape() == (Shape{rows, a.l, a.l}));
+  EALGAP_CHECK(gout.shape() == (Shape{rows, a.l, j}))
+      << ShapeToString(gout.shape());
+  Tensor dw(w.shape());
+  a.scores = scores.data();
+  a.gout = gout.data();
+  a.dw = dw.data();
+  ForRegions(a, rows, kernels::Active().region_attention_backward);
+  return dw;
+}
+
 Tensor TransposeLast2(const Tensor& a) {
   EALGAP_CHECK_GE(a.ndim(), 2);
   Shape out_shape = a.shape();

@@ -59,6 +59,16 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor BMatMul(const Tensor& a, const Tensor& b);
 /// Swap the last two dims (rank >= 2); copies.
 Tensor TransposeLast2(const Tensor& a);
+/// Eq. 6's per-region attention (RegionAttention in tensor/autograd.h):
+/// x (R, L) and w (R, 3J) -> (R, L, J). When `scores` is non-null it
+/// receives the (R, L, L) softmax scores RegionAttentionBackward reads.
+Tensor RegionAttention(const Tensor& x, const Tensor& w, int64_t j,
+                       Tensor* scores);
+/// d loss / d w of RegionAttention, (R, 3J), from its inputs, its scores
+/// and gout = d loss / d output.
+Tensor RegionAttentionBackward(const Tensor& x, const Tensor& w,
+                               const Tensor& scores, const Tensor& gout,
+                               int64_t j);
 
 // --- reductions ---
 Tensor SumAll(const Tensor& a);   ///< shape {1}

@@ -1,6 +1,10 @@
+#include <cmath>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "tensor/autograd.h"
 #include "tests/gradcheck.h"
 
@@ -56,6 +60,150 @@ TEST(AutogradTest, ZeroGradClears) {
   EXPECT_FLOAT_EQ(x.grad().at({0}), 1.f);
   x.ZeroGrad();
   EXPECT_FLOAT_EQ(x.grad().at({0}), 0.f);
+}
+
+void ExpectBitEqual(const Tensor& want, const Tensor& got,
+                    const std::string& what) {
+  ASSERT_EQ(want.shape(), got.shape()) << what;
+  for (int64_t i = 0; i < want.numel(); ++i) {
+    uint32_t a, b;
+    std::memcpy(&a, want.data() + i, sizeof(a));
+    std::memcpy(&b, got.data() + i, sizeof(b));
+    ASSERT_EQ(a, b) << what << " element " << i << ": " << want.data()[i]
+                    << " vs " << got.data()[i];
+  }
+}
+
+// A two-input op whose other operand is data must give the parameter the
+// gradient it gets when both sides require grad, and leave the data leaf
+// without one.
+TEST(AutogradTest, DataOperandGetsNoGradient) {
+  using BinaryOp = Var (*)(const Var&, const Var&);
+  struct Case {
+    const char* name;
+    BinaryOp op;
+    Shape a, b;
+  };
+  const Case cases[] = {
+      {"sub", Sub, {2, 3}, {2, 3}},
+      {"mul", Mul, {3, 4}, {3, 1}},
+      {"div", Div, {2, 3}, {2, 3}},
+      {"matmul", MatMul, {2, 3}, {3, 4}},
+      {"bmatmul", BMatMul, {2, 2, 3}, {2, 3, 2}},
+  };
+  Rng rng(29);
+  for (const Case& c : cases) {
+    const Tensor a = Tensor::Rand(c.a, rng, 0.5f, 2.f);
+    const Tensor b = Tensor::Rand(c.b, rng, 0.5f, 2.f);
+    for (bool param_first : {true, false}) {
+      auto grad_of_param = [&](bool data_requires_grad, Var* data) {
+        Var pa = Var::Leaf(a.Clone(), param_first || data_requires_grad);
+        Var pb = Var::Leaf(b.Clone(), !param_first || data_requires_grad);
+        Var out = c.op(pa, pb);
+        Backward(SumAll(Mul(out, out)));
+        *data = param_first ? pb : pa;
+        return (param_first ? pa : pb).grad().Clone();
+      };
+      Var data;
+      const Tensor want = grad_of_param(true, &data);
+      const Tensor got = grad_of_param(false, &data);
+      ExpectBitEqual(want, got, std::string(c.name) +
+                                    (param_first ? " lhs" : " rhs"));
+      EXPECT_FALSE(data.node()->grad.defined()) << c.name;
+    }
+  }
+}
+
+// --- RegionAttention (Eq. 6) ----------------------------------------------
+
+// Eq. 6 as the graph of BMatMuls, Slices and SoftmaxLastDim that
+// GlobalImpactModule built before RegionAttention.
+Var AttentionGraph(const Tensor& x, const Var& w, int64_t j) {
+  const int64_t rows = x.dim(0), l = x.dim(1);
+  Var x3 = Var::Leaf(x.Reshape({rows, l, 1}));
+  Var q = BMatMul(x3, Reshape(Slice(w, 1, 0, j), {rows, 1, j}));
+  Var k = BMatMul(x3, Reshape(Slice(w, 1, j, 2 * j), {rows, 1, j}));
+  Var v = BMatMul(x3, Reshape(Slice(w, 1, 2 * j, 3 * j), {rows, 1, j}));
+  Var logits = MulScalar(BMatMul(q, TransposeLast2(k)),
+                         1.f / std::sqrt(static_cast<float>(j)));
+  return BMatMul(SoftmaxLastDim(logits), v);
+}
+
+// Histories in [0, 6) with every fifth row all zeros (zero logits and
+// zero gradients, and 0 times a negative weight) and every fifth row,
+// offset by one, constant (tied logits).
+Tensor AttentionHistory(int64_t rows, int64_t l, Rng& rng) {
+  Tensor x = Tensor::Rand({rows, l}, rng, 0.f, 6.f);
+  for (int64_t r = 0; r < rows; ++r) {
+    float* row = x.data() + r * l;
+    if (r % 5 == 0) std::fill(row, row + l, 0.f);
+    if (r % 5 == 1) std::fill(row, row + l, 2.5f);
+  }
+  return x;
+}
+
+TEST(RegionAttentionTest, MatchesTheGraphBitForBit) {
+  const int saved_threads = GetNumThreads();
+  struct Shape3 {
+    int64_t rows, l, j;
+  };
+  for (const Shape3 s : {Shape3{37, 5, 1}, Shape3{1400, 5, 1},
+                         Shape3{21, 2, 2}, Shape3{40, 33, 4},
+                         Shape3{19, 7, 3}}) {
+    Rng rng(static_cast<uint64_t>(s.rows * 100 + s.l * 10 + s.j));
+    const Tensor x = AttentionHistory(s.rows, s.l, rng);
+    const Tensor w = Tensor::Rand({s.rows, 3 * s.j}, rng, -2.f, 2.f);
+    // d loss / d output = c, a data weight per element.
+    const Tensor c = Tensor::Randn({s.rows, s.l, s.j}, rng, 0.f, 1.f);
+    for (int threads : {1, 4}) {
+      SetNumThreads(threads);
+      const std::string what = "rows=" + std::to_string(s.rows) +
+                               " L=" + std::to_string(s.l) +
+                               " J=" + std::to_string(s.j) +
+                               " threads=" + std::to_string(threads);
+      auto run = [&](Var (*fn)(const Tensor&, const Var&, int64_t),
+                     Tensor* dw) {
+        Var wv = Var::Leaf(w.Clone(), /*requires_grad=*/true);
+        Var out = fn(x, wv, s.j);
+        Backward(SumAll(Mul(out, Var::Leaf(c))));
+        *dw = wv.grad().Clone();
+        return out.value();
+      };
+      Tensor dw_graph, dw_op;
+      const Tensor out_graph = run(AttentionGraph, &dw_graph);
+      const Tensor out_op = run(RegionAttention, &dw_op);
+      ExpectBitEqual(out_graph, out_op, "forward " + what);
+      ExpectBitEqual(dw_graph, dw_op, "dw " + what);
+      NoGradGuard no_grad;
+      ExpectBitEqual(out_graph,
+                     RegionAttention(x, Var::Leaf(w), s.j).value(),
+                     "no-grad forward " + what);
+    }
+  }
+  SetNumThreads(saved_threads);
+}
+
+TEST(RegionAttentionTest, RecordsOnlyWhenWRequiresGrad) {
+  Rng rng(5);
+  const Tensor x = AttentionHistory(4, 5, rng);
+  Var w = Var::Leaf(Tensor::Rand({4, 3}, rng, -1.f, 1.f), true);
+  EXPECT_TRUE(RegionAttention(x, w, 1).requires_grad());
+  EXPECT_FALSE(RegionAttention(x, w.Detach(), 1).requires_grad());
+  NoGradGuard no_grad;
+  EXPECT_FALSE(RegionAttention(x, w, 1).requires_grad());
+}
+
+TEST(RegionAttentionTest, MatchesFiniteDifferences) {
+  for (int64_t j : {1, 2}) {
+    Rng rng(static_cast<uint64_t>(40 + j));
+    const Tensor x = Tensor::Rand({3, 5}, rng, 0.2f, 2.f);
+    ExpectGradientsMatch(
+        {Tensor::Rand({3, 3 * j}, rng, -1.f, 1.f)},
+        [&x, j](std::vector<Var>& v) {
+          Var out = RegionAttention(x, v[0], j);
+          return SumAll(Mul(out, out));
+        });
+  }
 }
 
 // --- Parameterized finite-difference checks over the op catalogue ----------

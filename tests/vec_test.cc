@@ -532,6 +532,84 @@ TEST(VecParity, EalgapServeRows) {
   }
 }
 
+// Eq. 6's training kernels must give the scalar table's outputs, scores
+// and dw in every table, for every block remainder (R = 1..40 from several
+// starting regions, each range split into two calls), for L and J past
+// the fused serve pass's stack caps, and must write nothing outside their
+// regions.
+TEST(VecParity, RegionAttention) {
+  constexpr float kUnwritten = -7.f;
+  for (int64_t l : {2, 5, 33}) {
+    for (int64_t j : {1, 2, 4}) {
+      Tensor scratch({kernels::RegionAttentionScratchFloats(l, j)});
+      for (int64_t rows = 1; rows <= 40; ++rows) {
+        Rng rng(static_cast<uint64_t>(rows * 100 + l * 10 + j));
+        auto fill = [&rng](int64_t count, double lo, double hi) {
+          std::vector<float> v(count);
+          for (float& e : v) e = static_cast<float>(rng.Uniform(lo, hi));
+          return v;
+        };
+        // Every fifth history is all zeros, the next one constant: zero
+        // and tied logits.
+        std::vector<float> x = fill(rows * l, 0.0, 6.0);
+        for (int64_t r = 0; r < rows; ++r) {
+          if (r % 5 == 0) std::fill_n(x.begin() + r * l, l, 0.f);
+          if (r % 5 == 1) std::fill_n(x.begin() + r * l, l, 2.5f);
+        }
+        const std::vector<float> w = fill(rows * 3 * j, -2.0, 2.0);
+        const std::vector<float> gout = fill(rows * l * j, -1.0, 1.0);
+        struct Result {
+          std::vector<float> out, scores, dw;
+        };
+        auto run = [&](const KernelTable& t, int64_t r0) {
+          Result res{std::vector<float>(rows * l * j, kUnwritten),
+                     std::vector<float>(rows * l * l, kUnwritten),
+                     std::vector<float>(rows * 3 * j, kUnwritten)};
+          kernels::RegionAttentionArgs a;
+          a.l = l;
+          a.j = j;
+          a.scale = 1.f / std::sqrt(static_cast<float>(j));
+          a.x = x.data();
+          a.w = w.data();
+          a.out = res.out.data();
+          a.scores_out = res.scores.data();
+          a.scores = res.scores.data();
+          a.gout = gout.data();
+          a.dw = res.dw.data();
+          const int64_t mid = r0 + (rows - r0) / 2;
+          t.region_attention(a, r0, mid, scratch.data());
+          t.region_attention(a, mid, rows, scratch.data());
+          t.region_attention_backward(a, r0, mid, scratch.data());
+          t.region_attention_backward(a, mid, rows, scratch.data());
+          return res;
+        };
+        const Result ref = run(Scalar(), 0);
+        for (const NamedTable& alt : AltTables()) {
+          for (int64_t r0 : {0, 1, 3}) {
+            if (r0 >= rows) continue;
+            const Result got = run(*alt.t, r0);
+            auto expect = [&](const std::vector<float>& want,
+                              const std::vector<float>& have,
+                              int64_t per_region, const char* what) {
+              for (int64_t i = 0; i < rows * per_region; ++i) {
+                const float e = i < r0 * per_region ? kUnwritten : want[i];
+                ASSERT_EQ(Bits(e), Bits(have[i]))
+                    << what << " [" << alt.name << "] L=" << l << " J=" << j
+                    << " rows=" << rows << " from " << r0 << ": region "
+                    << i / per_region << " element " << i % per_region
+                    << " scalar=" << e << " simd=" << have[i];
+              }
+            };
+            expect(ref.out, got.out, l * j, "region_attention out");
+            expect(ref.scores, got.scores, l * l, "region_attention scores");
+            expect(ref.dw, got.dw, 3 * j, "region_attention_backward dw");
+          }
+        }
+      }
+    }
+  }
+}
+
 // Exp must saturate exactly: +inf above the clamp threshold, +0 below it,
 // and NaN for NaN.
 TEST(VecMath, ExpEdges) {
