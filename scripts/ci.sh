@@ -172,18 +172,19 @@ echo "===== TSan: concurrent serving + training paths ====="
 cmake -B "$TSAN_BUILD_DIR" -S . -G Ninja -DEALGAP_SANITIZE=thread
 # daemon_test is the TSan leg of the daemon soak: the multi-producer
 # queue stress and the cross-shard ParallelFor serve fan-out both run
-# with sanitized interleavings here.
+# with sanitized interleavings here. nn_test runs Eq. 10's GRU op at 1 and
+# 4 threads: its row chunks write dx and dh in place from pool threads.
 cmake --build "$TSAN_BUILD_DIR" -j --target \
   serve_parity_test determinism_test thread_pool_test ops_parallel_test \
-  fault_injection_test train_resume_test daemon_test ealgap_test
+  fault_injection_test train_resume_test daemon_test ealgap_test nn_test
 for t in serve_parity_test determinism_test thread_pool_test \
          ops_parallel_test fault_injection_test train_resume_test \
-         daemon_test ealgap_test; do
+         daemon_test ealgap_test nn_test; do
   echo "----- TSan: $t -----"
   EALGAP_NUM_THREADS=4 "./$TSAN_BUILD_DIR/tests/$t"
 done
 
-echo "===== ASan: checkpoint/resume + loader mutation + fault-injection + arena + Eq. 6 kernel paths ====="
+echo "===== ASan: checkpoint/resume + loader mutation + fault-injection + arena + Eq. 6 and Eq. 10 kernel paths ====="
 # The resume machinery shuffles large snapshots (params, Adam moments, RNG
 # streams) through the state-file container and back; AddressSanitizer
 # guards the readers against overreads on truncated or corrupt files.
@@ -198,13 +199,16 @@ echo "===== ASan: checkpoint/resume + loader mutation + fault-injection + arena 
 # autograd_test and vec_test hold the parity tests of Eq. 6's training
 # kernels (RegionAttention), which index per-lane scratch by L and J: here
 # every table runs them at L and J past the serve kernel's stack caps.
+# vec_test and nn_test do the same for Eq. 10's GRU kernels (GruStep),
+# whose scratch is sized by the input and hidden widths, and for the
+# narrow and transposed-operand matmul paths.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -G Ninja -DEALGAP_SANITIZE=address
 cmake --build "$ASAN_BUILD_DIR" -j --target \
   train_resume_test fault_injection_test experiment_test alloc_guard_test \
-  loader_fuzz_test autograd_test vec_test
+  loader_fuzz_test autograd_test vec_test nn_test
 for t in train_resume_test fault_injection_test experiment_test \
-         alloc_guard_test loader_fuzz_test autograd_test vec_test; do
+         alloc_guard_test loader_fuzz_test autograd_test vec_test nn_test; do
   echo "----- ASan: $t -----"
   "./$ASAN_BUILD_DIR/tests/$t"
 done

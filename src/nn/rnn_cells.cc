@@ -32,11 +32,10 @@ GruCell::GruCell(int64_t input_size, int64_t hidden_size, Rng& rng)
 }
 
 Var GruCell::Forward(const Var& x, const Var& h) const {
-  Var z = Sigmoid(Add(iz_.Forward(x), hz_.Forward(h)));
-  Var r = Sigmoid(Add(ir_.Forward(x), hr_.Forward(h)));
-  Var n = Tanh(Add(in_.Forward(x), hn_.Forward(Mul(r, h))));
-  Var one_minus_z = AddScalar(Neg(z), 1.f);
-  return Add(Mul(one_minus_z, h), Mul(z, n));
+  return GruStep(x, h,
+                 {{iz_.weight(), ir_.weight(), in_.weight()},
+                  {iz_.bias(), ir_.bias(), in_.bias()},
+                  {hz_.weight(), hr_.weight(), hn_.weight()}});
 }
 
 LstmCell::LstmCell(int64_t input_size, int64_t hidden_size, Rng& rng)

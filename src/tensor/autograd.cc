@@ -389,9 +389,7 @@ Var MatMul(const Var& a, const Var& b) {
       if (na->requires_grad) {
         na->AccumulateGrad(ops::MatMul(g, ops::TransposeLast2(nb->value)));
       }
-      if (nb->requires_grad) {
-        nb->AccumulateGrad(ops::MatMul(ops::TransposeLast2(na->value), g));
-      }
+      if (nb->requires_grad) nb->AccumulateGrad(ops::MatMulTransA(na->value, g));
     };
   });
 }
@@ -405,7 +403,7 @@ Var BMatMul(const Var& a, const Var& b) {
         na->AccumulateGrad(ops::BMatMul(g, ops::TransposeLast2(nb->value)));
       }
       if (nb->requires_grad) {
-        nb->AccumulateGrad(ops::BMatMul(ops::TransposeLast2(na->value), g));
+        nb->AccumulateGrad(ops::BMatMulTransA(na->value, g));
       }
     };
   });
@@ -424,6 +422,77 @@ Var RegionAttention(const Tensor& x, const Var& w, int64_t j) {
           ops::RegionAttentionBackward(x, nw->value, scores, g, j));
     };
   });
+}
+
+namespace {
+
+/// The nodes GruStep's backward reads and writes.
+struct GruNodes {
+  NodePtr x, h, wx[3], b[3], wh[3];
+};
+
+void GruStepBack(const GruNodes& n, const Tensor& gates, const Tensor& g) {
+  ops::GruTensors w;
+  ops::GruStepGrads d;
+  Tensor dwx[3], db[3], dwh[3];
+  for (int gi = 0; gi < 3; ++gi) {
+    w.wx[gi] = n.wx[gi]->value;
+    w.b[gi] = n.b[gi]->value;
+    w.wh[gi] = n.wh[gi]->value;
+    if (n.wx[gi]->requires_grad) d.dwx[gi] = &dwx[gi];
+    if (n.b[gi]->requires_grad) d.db[gi] = &db[gi];
+    if (n.wh[gi]->requires_grad) d.dwh[gi] = &dwh[gi];
+  }
+  // x's and h's gradients are summed in place, in the order the replaced
+  // graph added its contributions onto what they already held.
+  if (n.x->requires_grad) d.dx = &n.x->grad;
+  if (n.h->requires_grad) d.dh = &n.h->grad;
+  ops::GruStepBackward(n.x->value, n.h->value, w, gates, g, d);
+  for (int gi = 0; gi < 3; ++gi) {
+    if (d.dwx[gi] != nullptr) n.wx[gi]->AccumulateGrad(dwx[gi]);
+    if (d.db[gi] != nullptr) n.b[gi]->AccumulateGrad(db[gi]);
+    if (d.dwh[gi] != nullptr) n.wh[gi]->AccumulateGrad(dwh[gi]);
+  }
+}
+
+}  // namespace
+
+Var GruStep(const Var& x, const Var& h, const GruParams& p) {
+  ops::GruTensors w;
+  bool any = x.requires_grad() || h.requires_grad();
+  for (int g = 0; g < 3; ++g) {
+    w.wx[g] = p.wx[g].value();
+    w.b[g] = p.b[g].value();
+    w.wh[g] = p.wh[g].value();
+    any = any || p.wx[g].requires_grad() || p.b[g].requires_grad() ||
+          p.wh[g].requires_grad();
+  }
+  // The gates are kept only for a backward that can run.
+  const bool record = GradEnabled() && any;
+  Tensor gates;
+  Tensor out = ops::GruStep(x.value(), h.value(), w, record ? &gates : nullptr);
+  if (!record) return Var::Leaf(std::move(out), /*requires_grad=*/false);
+  // The Linear chain this op replaced reached the z gate's input Linear
+  // before h, so over an unrolled window its weight and bias summed their
+  // gradients from the first step on, while every other parameter summed
+  // from the last step back. Per-step views of those two, listed before h,
+  // keep both orders: a view's backward runs after the earlier steps'.
+  const Var wz = Reshape(p.wx[0], w.wx[0].shape());
+  const Var bz = Reshape(p.b[0], w.b[0].shape());
+  return MakeOp(std::move(out),
+                {&x, &wz, &bz, &h, &p.wh[0], &p.wx[1], &p.b[1], &p.wh[1],
+                 &p.wx[2], &p.b[2], &p.wh[2]},
+                [&] {
+                  GruNodes n{x.node(), h.node(), {}, {}, {}};
+                  for (int g = 0; g < 3; ++g) {
+                    n.wx[g] = (g == 0 ? wz : p.wx[g]).node();
+                    n.b[g] = (g == 0 ? bz : p.b[g]).node();
+                    n.wh[g] = p.wh[g].node();
+                  }
+                  return [n = std::move(n), gates](const Tensor& g) {
+                    GruStepBack(n, gates, g);
+                  };
+                });
 }
 
 Var TransposeLast2(const Var& a) {

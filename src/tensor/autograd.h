@@ -109,6 +109,18 @@ Var TransposeLast2(const Var& a);
 /// Outputs and dw equal the BMatMul/Slice/SoftmaxLastDim graph it replaces
 /// bit for bit.
 Var RegionAttention(const Tensor& x, const Var& w, int64_t j);
+/// The nine parameters of a GRU cell, gates in z, r, n order: the input
+/// weights (in, H), their (H) biases and the hidden weights (H, H).
+struct GruParams {
+  Var wx[3], b[3], wh[3];
+};
+/// One GRU step (nn::GruCell::Forward) over R rows: x (R, in) and h
+/// (R, H) -> (R, H), with z = sigmoid(x Wz + bz + h Uz), r likewise, n =
+/// tanh(x Wn + bn + (r .* h) Un) and h' = (1 - z) .* h + z .* n. Outputs
+/// and gradients equal the graph of Linears, Sigmoid, Tanh and
+/// elementwise ops it replaces bit for bit, gradients that a backward
+/// adds up included.
+Var GruStep(const Var& x, const Var& h, const GruParams& p);
 Var SumAll(const Var& a);
 Var MeanAll(const Var& a);
 Var SumAxis(const Var& a, int64_t axis, bool keepdim = true);

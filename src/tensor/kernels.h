@@ -89,6 +89,47 @@ inline int64_t RegionAttentionScratchFloats(int64_t l, int64_t j) {
   return kMaxLanes * (2 * l * l + 4 * l * j + 2 * l + 3 * j);
 }
 
+/// Operands of one GRU step (GruCell::Forward, GruStep in
+/// tensor/autograd.h) over R rows: row r of x and h is one sample's input
+/// and hidden state. Gates are in z, r, n order; weights are row-major
+/// (in, H) input and (H, H) hidden Linear weights with an (H) bias on the
+/// input side.
+struct GruStepArgs {
+  int64_t rows = 0;    ///< R
+  int64_t in = 0;      ///< input width
+  int64_t hidden = 0;  ///< hidden width H
+  const float* x = nullptr;  ///< (R, in)
+  const float* h = nullptr;  ///< (R, H)
+  const float* wx[3] = {};
+  const float* b[3] = {};
+  const float* wh[3] = {};
+  float* out = nullptr;  ///< forward: (R, H) the next hidden state
+  /// forward: the gates z, r, n of every row, written when non-null. They
+  /// are stored (3H, R), column c of gate g at row (g H + c), so the rows
+  /// of a block sit side by side as its lanes do.
+  float* gates_out = nullptr;
+  const float* gates = nullptr;  ///< backward: the forward's gates
+  const float* gout = nullptr;   ///< backward: (R, H) d loss / d out
+  /// backward: the (R, H) gradients of the z, r and n pre-activations and
+  /// the (R, H) product r * h, written when non-null.
+  float* dpre[3] = {};
+  float* rh = nullptr;
+  /// backward: (R, in) d loss / d x and (R, H) d loss / d h, skipped when
+  /// null. With dx_add / dh_add set the contributions are added onto the
+  /// values already there, else the first one is stored.
+  float* dx = nullptr;
+  float* dh = nullptr;
+  bool dx_add = false;
+  bool dh_add = false;
+};
+
+/// Floats of 64-byte-aligned scratch one gru_step or gru_step_backward
+/// call needs, in any table.
+inline int64_t GruStepScratchFloats(int64_t in, int64_t hidden) {
+  constexpr int64_t kMaxLanes = 16;
+  return kMaxLanes * (in + 9 * hidden);
+}
+
 /// All kernels take raw pointers (no alignment requirement) and an element
 /// count; `n == 0` is a no-op. Reduction kernels define a fixed
 /// accumulation order (4 interleaved double lanes, combined in lane order)
@@ -158,10 +199,16 @@ struct KernelTable {
                      int64_t n);
 
   /// Rows [i0, i1) of the (m,k)x(k,n) product accumulated into po (callers
-  /// zero-initialize). Vectorized across output columns; each output
-  /// element keeps the exact scalar accumulation order.
+  /// zero-initialize). Vectorized across output columns, or across rows
+  /// when n is below the table's width and the rows fill a vector; each
+  /// output element keeps the exact scalar accumulation order.
   void (*matmul_rows)(const float* pa, const float* pb, float* po, int64_t i0,
                       int64_t i1, int64_t k, int64_t n);
+  /// matmul_rows of A^T by (k,n) B, where A is (k, m) with row stride lda:
+  /// output row i reads A's column i in place, with no transpose copy.
+  void (*matmul_tn_rows)(const float* pa, int64_t lda, const float* pb,
+                         float* po, int64_t i0, int64_t i1, int64_t k,
+                         int64_t n);
 
   /// EALGAP's fused serve pass over regions [r0, r1), one region per lane.
   /// Every output equals the graph path's (GlobalImpactModule and
@@ -180,6 +227,18 @@ struct KernelTable {
                            int64_t r1, float* scratch);
   void (*region_attention_backward)(const RegionAttentionArgs& a, int64_t r0,
                                     int64_t r1, float* scratch);
+
+  /// One GRU step over rows [r0, r1), one row per lane, and the per-row
+  /// part of its backward: the gate gradients, r * h, dx and dh (the
+  /// weight gradients sum these over rows; see ops::GruStepBackward). The
+  /// forward equals the Linear/Sigmoid/Tanh graph it replaces bit for bit
+  /// and the backward that graph's backward, dx and dh receiving their
+  /// contributions in the order it gave them. `scratch` holds
+  /// GruStepScratchFloats(in, hidden) floats, 64-byte aligned.
+  void (*gru_step)(const GruStepArgs& a, int64_t r0, int64_t r1,
+                   float* scratch);
+  void (*gru_step_backward)(const GruStepArgs& a, int64_t r0, int64_t r1,
+                            float* scratch);
 };
 
 /// The active table (resolved once: CPU detection + EALGAP_SIMD override).

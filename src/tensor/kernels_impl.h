@@ -17,7 +17,8 @@
 ///    4 within the block), remainder elements join their lane after the
 ///    vector loop, and lanes combine in fixed order;
 ///  - matmul keeps one fixed expression tree per output element, with the
-///    column loop (not the accumulation) vectorized.
+///    column loop (for outputs narrower than a vector, the row loop), not
+///    the accumulation, vectorized.
 
 #include <algorithm>
 #include <cstdint>
@@ -354,81 +355,14 @@ void NormalPdf(const float* x, const float* mean, const float* inv_stddev,
   }
 }
 
-// --- matmul microkernel ---
-
-/// Rows [i0, i1) of the (m,k)x(k,n) product, i-k-j order, k unrolled by 4,
-/// vectorized across output columns j. Per output element the expression
-/// tree is fixed — ((a0*b0 + a1*b1) + a2*b2) + a3*b3, accumulated onto the
-/// running row — so scalar, SSE2 and AVX2 produce identical bits.
-template <class B>
-void MatMulRows(const float* pa, const float* pb, float* po, int64_t i0,
-                int64_t i1, int64_t k, int64_t n) {
-  using V = typename B::V;
-  constexpr int64_t kColBlock = 256;
-  constexpr int W = B::kWidth;
-  for (int64_t j0 = 0; j0 < n; j0 += kColBlock) {
-    const int64_t j1 = std::min(n, j0 + kColBlock);
-    for (int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + i * k;
-      float* orow = po + i * n;
-      int64_t p = 0;
-      for (; p + 4 <= k; p += 4) {
-        const float a0 = arow[p + 0], a1 = arow[p + 1];
-        const float a2 = arow[p + 2], a3 = arow[p + 3];
-        const float* b0 = pb + (p + 0) * n;
-        const float* b1 = pb + (p + 1) * n;
-        const float* b2 = pb + (p + 2) * n;
-        const float* b3 = pb + (p + 3) * n;
-        const V va0 = B::Set1(a0), va1 = B::Set1(a1);
-        const V va2 = B::Set1(a2), va3 = B::Set1(a3);
-        int64_t j = j0;
-        for (; j + W <= j1; j += W) {
-          V t = B::Mul(va0, B::Load(b0 + j));
-          t = B::Add(t, B::Mul(va1, B::Load(b1 + j)));
-          t = B::Add(t, B::Mul(va2, B::Load(b2 + j)));
-          t = B::Add(t, B::Mul(va3, B::Load(b3 + j)));
-          B::Store(orow + j, B::Add(B::Load(orow + j), t));
-        }
-        for (; j < j1; ++j) {
-          float t = a0 * b0[j];
-          t = t + a1 * b1[j];
-          t = t + a2 * b2[j];
-          t = t + a3 * b3[j];
-          orow[j] = orow[j] + t;
-        }
-      }
-      for (; p < k; ++p) {
-        const float av = arow[p];
-        const float* brow = pb + p * n;
-        const V vav = B::Set1(av);
-        int64_t j = j0;
-        for (; j + W <= j1; j += W) {
-          B::Store(orow + j,
-                   B::Add(B::Load(orow + j), B::Mul(vav, B::Load(brow + j))));
-        }
-        for (; j < j1; ++j) orow[j] = orow[j] + av * brow[j];
-      }
-    }
-  }
-}
-
-// --- contiguous copy ---
-
-/// memcpy in kernel clothing: routes Tensor::Slice / CopyFrom row copies
-/// through the dispatch table so they show up in the same profiling layer
-/// as everything else. Destination alignment is whatever the caller's
-/// buffer has (fresh tensor storage: 64 bytes); the source may be an
-/// arbitrary row offset — memcpy has no alignment requirement, so this
-/// kernel PRESERVES no alignment guarantee beyond the destination's own.
-template <class B>
-void CopyK(const float* src, float* dst, int64_t n) {
-  std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
-}
-
-// --- per-region lane blocks: Eq. 6 and the EALGAP fused serve pass ---
+// --- lane helpers: one row (or region) per lane ---
 
 /// Lane i of the result is p[i * stride]: one field of kWidth consecutive
-/// regions' rows.
+/// regions' rows, copied through a lane array. The fused serve pass ran
+/// slower on L::Gather (ealgap_serve_rows at N = 10k, one thread: 3.70 ->
+/// 4.05 ms on AVX-512), so it and Eq. 6 keep this copy; the GRU and
+/// narrow matmul kernels, where L::Gather measured faster, call it
+/// directly.
 template <class L>
 typename L::V GatherLanes(const float* p, int64_t stride) {
   float lanes[L::kWidth];
@@ -439,9 +373,7 @@ typename L::V GatherLanes(const float* p, int64_t stride) {
 /// p[i * stride] = lane i of v, the inverse of GatherLanes.
 template <class L>
 void ScatterLanes(typename L::V v, float* p, int64_t stride) {
-  float lanes[L::kWidth];
-  L::Store(lanes, v);
-  for (int i = 0; i < L::kWidth; ++i) p[i * stride] = lanes[i];
+  L::Scatter(p, stride, v);
 }
 
 /// p -> a[p * stride]: a row (stride 1) or a column of a lane array, as a
@@ -472,6 +404,226 @@ template <class L, class AFn, class BFn>
   for (; p < k; ++p) acc = L::Add(acc, L::Mul(a(p), b(p)));
   return acc;
 }
+
+/// Runs block.template operator()<L>(r) over [r0, r1): full blocks of
+/// B::kWidth rows, then the remainder through the next narrower backend
+/// (B::Narrower: 16 -> 8 -> 1 on AVX-512, 8 -> 1 on AVX2, 4 -> 1 on
+/// SSE2). Every width repeats the same per-element order.
+template <class B, class Block>
+void ForLaneBlocks(int64_t r0, int64_t r1, const Block& block) {
+  int64_t r = r0;
+  for (; r + B::kWidth <= r1; r += B::kWidth) block.template operator()<B>(r);
+  if constexpr (B::kWidth > 1) {
+    ForLaneBlocks<typename B::Narrower>(r, r1, block);
+  }
+}
+
+// --- matmul microkernel ---
+
+/// The left operand of a matmul: a row-major (m, k) A, or with kTransA
+/// the transpose of a (k, m) A, read by column in place. `ld` is A's row
+/// stride.
+template <bool kTransA>
+struct MatA {
+  const float* p;
+  int64_t ld;
+  float operator()(int64_t i, int64_t q) const {
+    return kTransA ? p[q * ld + i] : p[i * ld + q];
+  }
+  /// Lane l holds A(i + l, q).
+  template <class L>
+  typename L::V Lanes(int64_t i, int64_t q) const {
+    if constexpr (kTransA) {
+      return L::Load(p + q * ld + i);
+    } else {
+      return L::Gather(p + i * ld + q, ld);
+    }
+  }
+};
+
+/// kRows output rows from i by kVecs vectors of columns from j, their
+/// running values held in registers while k streams once; the loads of B
+/// are shared by the rows.
+template <class B, int kRows, int kVecs, class A>
+void MatMulTile(const A& a, const float* pb, float* po, int64_t i, int64_t j,
+                int64_t k, int64_t n) {
+  using V = typename B::V;
+  constexpr int W = B::kWidth;
+  V acc[kRows][kVecs];
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) {
+      acc[r][v] = B::Load(po + (i + r) * n + j + v * W);
+    }
+  }
+  int64_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    const float* b0 = pb + p * n + j;
+    for (int r = 0; r < kRows; ++r) {
+      const V a0 = B::Set1(a(i + r, p)), a1 = B::Set1(a(i + r, p + 1));
+      const V a2 = B::Set1(a(i + r, p + 2)), a3 = B::Set1(a(i + r, p + 3));
+      for (int v = 0; v < kVecs; ++v) {
+        const float* bv = b0 + v * W;
+        V t = B::Mul(a0, B::Load(bv));
+        t = B::Add(t, B::Mul(a1, B::Load(bv + n)));
+        t = B::Add(t, B::Mul(a2, B::Load(bv + 2 * n)));
+        t = B::Add(t, B::Mul(a3, B::Load(bv + 3 * n)));
+        acc[r][v] = B::Add(acc[r][v], t);
+      }
+    }
+  }
+  for (; p < k; ++p) {
+    for (int r = 0; r < kRows; ++r) {
+      const V av = B::Set1(a(i + r, p));
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] =
+            B::Add(acc[r][v], B::Mul(av, B::Load(pb + p * n + j + v * W)));
+      }
+    }
+  }
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) {
+      B::Store(po + (i + r) * n + j + v * W, acc[r][v]);
+    }
+  }
+}
+
+/// MatMulTile over columns [j, j1), whole vectors only, at most four at a
+/// time, so an output row of up to four vectors streams B once. Returns
+/// the first column left over.
+template <class B, int kRows, class A>
+int64_t MatMulTileRow(const A& a, const float* pb, float* po, int64_t i,
+                      int64_t j, int64_t j1, int64_t k, int64_t n) {
+  constexpr int W = B::kWidth;
+  for (; j + 4 * W <= j1; j += 4 * W) {
+    MatMulTile<B, kRows, 4>(a, pb, po, i, j, k, n);
+  }
+  switch ((j1 - j) / W) {
+    case 3:
+      MatMulTile<B, kRows, 3>(a, pb, po, i, j, k, n);
+      return j + 3 * W;
+    case 2:
+      MatMulTile<B, kRows, 2>(a, pb, po, i, j, k, n);
+      return j + 2 * W;
+    case 1:
+      MatMulTile<B, kRows, 1>(a, pb, po, i, j, k, n);
+      return j + W;
+    default:
+      return j;
+  }
+}
+
+/// Rows [i0, i1) of the (m,k)x(k,n) product, vectorized across output
+/// columns j, in tiles of up to four rows by four vectors. Per output
+/// element the expression tree is fixed — ((a0*b0 + a1*b1) + a2*b2) +
+/// a3*b3, accumulated onto the running value — so every table produces
+/// identical bits.
+template <class B, class A>
+void MatMulWideRows(const A& a, const float* pb, float* po, int64_t i0,
+                    int64_t i1, int64_t k, int64_t n) {
+  constexpr int64_t kColBlock = 256;
+  for (int64_t j0 = 0; j0 < n; j0 += kColBlock) {
+    const int64_t j1 = std::min(n, j0 + kColBlock);
+    int64_t i = i0;
+    int64_t tail = j1;  // first column left to the scalar loop
+    for (; i + 4 <= i1; i += 4) {
+      tail = MatMulTileRow<B, 4>(a, pb, po, i, j0, j1, k, n);
+    }
+    for (; i < i1; ++i) tail = MatMulTileRow<B, 1>(a, pb, po, i, j0, j1, k, n);
+    for (int64_t r = i0; r < i1; ++r) {
+      float* orow = po + r * n;
+      int64_t p = 0;
+      for (; p + 4 <= k; p += 4) {
+        const float* b0 = pb + p * n;
+        for (int64_t j = tail; j < j1; ++j) {
+          float t = a(r, p) * b0[j];
+          t = t + a(r, p + 1) * b0[n + j];
+          t = t + a(r, p + 2) * b0[2 * n + j];
+          t = t + a(r, p + 3) * b0[3 * n + j];
+          orow[j] = orow[j] + t;
+        }
+      }
+      for (; p < k; ++p) {
+        for (int64_t j = tail; j < j1; ++j) {
+          orow[j] = orow[j] + a(r, p) * pb[p * n + j];
+        }
+      }
+    }
+  }
+}
+
+/// Rows [i, i + L::kWidth) of a product with n < 16 columns, one row per
+/// lane as DotCol lays them out: every output element follows
+/// MatMulWideRows' tree onto its running value, the n columns' sums
+/// carried side by side while k streams once.
+template <class L, class A>
+void MatMulNarrowBlock(const A& a, const float* pb, float* po, int64_t i,
+                       int64_t k, int64_t n) {
+  using V = typename L::V;
+  V acc[16];
+  for (int64_t j = 0; j < n; ++j) acc[j] = L::Gather(po + i * n + j, n);
+  int64_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    const V a0 = a.template Lanes<L>(i, p), a1 = a.template Lanes<L>(i, p + 1);
+    const V a2 = a.template Lanes<L>(i, p + 2);
+    const V a3 = a.template Lanes<L>(i, p + 3);
+    const float* b0 = pb + p * n;
+    for (int64_t j = 0; j < n; ++j) {
+      V t = L::Mul(a0, L::Set1(b0[j]));
+      t = L::Add(t, L::Mul(a1, L::Set1(b0[n + j])));
+      t = L::Add(t, L::Mul(a2, L::Set1(b0[2 * n + j])));
+      t = L::Add(t, L::Mul(a3, L::Set1(b0[3 * n + j])));
+      acc[j] = L::Add(acc[j], t);
+    }
+  }
+  for (; p < k; ++p) {
+    const V av = a.template Lanes<L>(i, p);
+    for (int64_t j = 0; j < n; ++j) {
+      acc[j] = L::Add(acc[j], L::Mul(av, L::Set1(pb[p * n + j])));
+    }
+  }
+  for (int64_t j = 0; j < n; ++j) ScatterLanes<L>(acc[j], po + i * n + j, n);
+}
+
+/// Rows [i0, i1) of A·B accumulated into po: across rows when a row is
+/// narrower than a vector and the rows fill one, else across columns.
+template <class B, class A>
+void MatMulRowsOf(const A& a, const float* pb, float* po, int64_t i0,
+                  int64_t i1, int64_t k, int64_t n) {
+  if (n >= B::kWidth || i1 - i0 < B::kWidth) {
+    MatMulWideRows<B>(a, pb, po, i0, i1, k, n);
+    return;
+  }
+  ForLaneBlocks<B>(i0, i1, [&]<class L>(int64_t i) {
+    MatMulNarrowBlock<L>(a, pb, po, i, k, n);
+  });
+}
+
+template <class B>
+void MatMulRows(const float* pa, const float* pb, float* po, int64_t i0,
+                int64_t i1, int64_t k, int64_t n) {
+  MatMulRowsOf<B>(MatA<false>{pa, k}, pb, po, i0, i1, k, n);
+}
+
+template <class B>
+void MatMulTnRows(const float* pa, int64_t lda, const float* pb, float* po,
+                  int64_t i0, int64_t i1, int64_t k, int64_t n) {
+  MatMulRowsOf<B>(MatA<true>{pa, lda}, pb, po, i0, i1, k, n);
+}
+
+// --- contiguous copy ---
+
+/// memcpy in kernel clothing: routes Tensor::Slice / CopyFrom row copies
+/// through the dispatch table so they show up in the same profiling layer
+/// as everything else. Destination alignment is whatever the caller's
+/// buffer has (fresh tensor storage: 64 bytes); the source may be an
+/// arbitrary row offset — memcpy has no alignment requirement, so this
+/// kernel PRESERVES no alignment guarantee beyond the destination's own.
+template <class B>
+void CopyK(const float* src, float* dst, int64_t n) {
+  std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
+}
+
+// --- Eq. 6, Eq. 10's GRU step and the EALGAP fused serve pass ---
 
 /// Column c of a row-major (k, cols) Linear weight applied to a[0..k),
 /// bias not included.
@@ -567,6 +719,40 @@ template <class L, int kTree, class OnScores>
   }
 }
 
+/// One GruCell::Forward step for a block of rows, one per lane: h[0..nh)
+/// becomes the next hidden state in place. The one copy of the cell's
+/// element order, shared by the fused serve pass and GruStep: each gate's
+/// pre-activation is (x Wx + b) + h Wh as the Linears' MatMul and bias Add
+/// give it, z and r are VSigmoid of theirs, n = VTanh((x Wn + b) + (r h)
+/// Wh), and h' = ((-z) + 1) h + z n. `on_gate(g, c, v)` sees column c of
+/// gate g (z, r, n = 0, 1, 2). z and rh hold nh lanes. Always inlined, so
+/// a caller's compile-time widths fix the loops.
+template <class L, class OnGate>
+[[gnu::always_inline]] inline void GruLanes(
+    const typename L::V* x, int64_t nin, typename L::V* h, int64_t nh,
+    const float* const* wx, const float* const* b, const float* const* wh,
+    typename L::V* z, typename L::V* rh, OnGate on_gate) {
+  using V = typename L::V;
+  auto gate = [&](int gi, const V* hin, int64_t c) {
+    return L::Add(L::Add(DotCol<L>(x, nin, wx[gi] + c, nh), L::Set1(b[gi][c])),
+                  DotCol<L>(hin, nh, wh[gi] + c, nh));
+  };
+  for (int64_t c = 0; c < nh; ++c) {
+    z[c] = vec::VSigmoid<L>(gate(0, h, c));
+    const V r = vec::VSigmoid<L>(gate(1, h, c));
+    on_gate(0, c, z[c]);
+    on_gate(1, c, r);
+    rh[c] = L::Mul(r, h[c]);
+  }
+  const V one = L::Set1(1.f);
+  for (int64_t c = 0; c < nh; ++c) {
+    const V n = vec::VTanh<L>(gate(2, rh, c));
+    on_gate(2, c, n);
+    const V one_minus_z = L::Add(OpNeg::Run<L>(z[c]), one);
+    h[c] = L::Add(L::Mul(one_minus_z, h[c]), L::Mul(z[c], n));
+  }
+}
+
 /// Regions [r, r + L::kWidth), one per lane. Each step names the graph op
 /// whose per-element order it repeats; kTree is the width of the table
 /// the graph path's softmax_row ran on. kL/kHidden/kGru fix L and the
@@ -607,7 +793,6 @@ void EalgapServeBlock(const EalgapServeArgs& a, int64_t r) {
   const V eps = L::Add(OpAbs::Run<L>(GatherLanes<L>(a.epsilon + r, 1)),
                        L::Set1(1e-4f));
   const V inv_scale = L::Set1(a.inv_scale);
-  const V one = L::Set1(1.f);
   V e[kEalgapServeMaxHistory];
   V h[kEalgapServeMaxGru], z[kEalgapServeMaxGru], rh[kEalgapServeMaxGru];
   for (int64_t c = 0; c < g; ++c) h[c] = zero;
@@ -622,21 +807,8 @@ void EalgapServeBlock(const EalgapServeArgs& a, int64_t r) {
       const V d = L::Div(L::Sub(xs, mu), L::Sqrt(var));
       e[j] = vec::VTanh<L>(L::Mul(d, gamma));
     }
-    // Gate pre-activations: (x Wx + b) + h Wh.
-    auto gate = [&](int gi, const V* hin, int64_t c) {
-      return L::Add(L::Add(DotCol<L>(e, nl, a.gate_wx[gi] + c, g),
-                           L::Set1(a.gate_b[gi][c])),
-                    DotCol<L>(hin, g, a.gate_wh[gi] + c, g));
-    };
-    for (int64_t c = 0; c < g; ++c) {
-      z[c] = vec::VSigmoid<L>(gate(0, h, c));
-      rh[c] = L::Mul(vec::VSigmoid<L>(gate(1, h, c)), h[c]);
-    }
-    for (int64_t c = 0; c < g; ++c) {
-      const V n = vec::VTanh<L>(gate(2, rh, c));
-      const V one_minus_z = L::Add(OpNeg::Run<L>(z[c]), one);
-      h[c] = L::Add(L::Mul(one_minus_z, h[c]), L::Mul(z[c], n));
-    }
+    GruLanes<L>(e, nl, h, g, a.gate_wx, a.gate_b, a.gate_wh, z, rh,
+                [](int, int64_t, V) {});
   }
   // The tanh head on the last window's state is D̂[:, t+1].
   const V d_next = vec::VTanh<L>(
@@ -805,31 +977,168 @@ void RegionAttentionBackwardBlock(const RegionAttentionArgs& a, int64_t r,
   }
 }
 
-/// Full blocks of B::kWidth regions, then the remainder through
-/// B::Narrower, as EalgapServeRange walks them; kTree stays the
-/// dispatching table's width.
+/// kTree stays the dispatching table's width as the blocks narrow.
 template <class B, int kTree>
 void RegionAttentionRange(const RegionAttentionArgs& a, int64_t r0,
                           int64_t r1, float* scratch) {
-  int64_t r = r0;
-  for (; r + B::kWidth <= r1; r += B::kWidth) {
-    RegionAttentionBlock<B, kTree>(a, r, scratch);
-  }
-  if constexpr (B::kWidth > 1) {
-    RegionAttentionRange<typename B::Narrower, kTree>(a, r, r1, scratch);
-  }
+  ForLaneBlocks<B>(r0, r1, [&]<class L>(int64_t r) {
+    RegionAttentionBlock<L, kTree>(a, r, scratch);
+  });
 }
 
 template <class B>
 void RegionAttentionBackward(const RegionAttentionArgs& a, int64_t r0,
                              int64_t r1, float* scratch) {
-  int64_t r = r0;
-  for (; r + B::kWidth <= r1; r += B::kWidth) {
-    RegionAttentionBackwardBlock<B>(a, r, scratch);
+  ForLaneBlocks<B>(r0, r1, [&]<class L>(int64_t r) {
+    RegionAttentionBackwardBlock<L>(a, r, scratch);
+  });
+}
+
+// --- Eq. 10's GRU for training: GruStep's forward and backward ---
+
+/// Lane arrays of the GRU kernels, carved from their scratch in the order
+/// GruStepScratchFloats counts them. The forward uses x, h, z and r (as
+/// r * h); the backward the rest, with g the incoming gradient, dpre the
+/// gates' pre-activation gradients and drh the gradient of r * h.
+template <class L>
+struct GruArrays {
+  using V = typename L::V;
+  V *x, *h, *z, *r, *n, *g, *dpre[3], *drh;
+  GruArrays(float* scratch, int64_t nin, int64_t nh) {
+    V* p = reinterpret_cast<V*>(scratch);
+    auto take = [&p](int64_t count) {
+      V* block = p;
+      p += count;
+      return block;
+    };
+    x = take(nin);
+    h = take(nh);
+    z = take(nh);
+    r = take(nh);
+    n = take(nh);
+    g = take(nh);
+    for (V*& d : dpre) d = take(nh);
+    drh = take(nh);
   }
-  if constexpr (B::kWidth > 1) {
-    RegionAttentionBackward<typename B::Narrower>(a, r, r1, scratch);
+};
+
+/// Forward of rows [r, r + L::kWidth): GruLanes, its output scattered back
+/// to the rows and (when a.gates_out is set) its gates stored.
+template <class L>
+void GruStepBlock(const GruStepArgs& a, int64_t r, float* scratch) {
+  using V = typename L::V;
+  const int64_t nin = a.in, nh = a.hidden;
+  GruArrays<L> s(scratch, nin, nh);
+  for (int64_t j = 0; j < nin; ++j) {
+    s.x[j] = L::Gather(a.x + r * nin + j, nin);
   }
+  for (int64_t c = 0; c < nh; ++c) {
+    s.h[c] = L::Gather(a.h + r * nh + c, nh);
+  }
+  float* gates = a.gates_out == nullptr ? nullptr : a.gates_out + r;
+  const int64_t rows = a.rows;
+  GruLanes<L>(s.x, nin, s.h, nh, a.wx, a.b, a.wh, s.z, s.r,
+              [gates, nh, rows](int gi, int64_t c, V v) {
+                if (gates != nullptr) L::Store(gates + (gi * nh + c) * rows, v);
+              });
+  for (int64_t c = 0; c < nh; ++c) {
+    ScatterLanes<L>(s.h[c], a.out + r * nh + c, nh);
+  }
+}
+
+/// The per-row backward of rows [r, r + L::kWidth). Each step repeats the
+/// backward of the graph op named beside it, and dx and dh take their
+/// contributions in the order that graph's backward gave them.
+template <class L>
+void GruStepBackwardBlock(const GruStepArgs& a, int64_t r, float* scratch) {
+  using V = typename L::V;
+  const int64_t nin = a.in, nh = a.hidden;
+  GruArrays<L> s(scratch, nin, nh);
+  const float* gates = a.gates + r;
+  for (int64_t c = 0; c < nh; ++c) {
+    s.h[c] = L::Gather(a.h + r * nh + c, nh);
+    s.g[c] = L::Gather(a.gout + r * nh + c, nh);
+    s.z[c] = L::Load(gates + c * a.rows);
+    s.r[c] = L::Load(gates + (nh + c) * a.rows);
+    s.n[c] = L::Load(gates + (2 * nh + c) * a.rows);
+  }
+  const V one = L::Set1(1.f);
+  // Sigmoid's backward multiplies by s * ((-s) + 1), Tanh's by
+  // (-(t * t)) + 1.
+  auto sigmoid_slope = [one](V v) {
+    return L::Mul(v, L::Add(OpNeg::Run<L>(v), one));
+  };
+  // g . W^T: the MatMul backward of a Linear whose row-major (rows, nh)
+  // weight starts at w.
+  auto dot_row = [nh](const V* grad, const float* w) {
+    return DotTree<L>(nh, Strided(grad),
+                      [w](int64_t p) { return L::Set1(w[p]); });
+  };
+  for (int64_t c = 0; c < nh; ++c) {
+    // h' = Add(Mul(1 - z, h), Mul(z, n)): z's gradient came from
+    // Mul(z, n), then through the Neg of 1 - z.
+    const V dz = L::Add(L::Mul(s.g[c], s.n[c]),
+                        OpNeg::Run<L>(L::Mul(s.g[c], s.h[c])));
+    s.dpre[0][c] = L::Mul(dz, sigmoid_slope(s.z[c]));
+    const V tanh_slope =
+        L::Add(OpNeg::Run<L>(L::Mul(s.n[c], s.n[c])), one);
+    s.dpre[2][c] = L::Mul(L::Mul(s.g[c], s.z[c]), tanh_slope);
+  }
+  for (int64_t i = 0; i < nh; ++i) {
+    // The hn Linear's input r * h, then Mul(r, h)'s backward into r.
+    s.drh[i] = dot_row(s.dpre[2], a.wh[2] + i * nh);
+    s.dpre[1][i] = L::Mul(L::Mul(s.drh[i], s.h[i]), sigmoid_slope(s.r[i]));
+  }
+  if (a.dh != nullptr) {
+    // Mul(r, h), hr, Mul(1 - z, h), then hz.
+    float* dh = a.dh + r * nh;
+    for (int64_t i = 0; i < nh; ++i) {
+      V acc = L::Mul(s.drh[i], s.r[i]);
+      if (a.dh_add) acc = L::Add(L::Gather(dh + i, nh), acc);
+      acc = L::Add(acc, dot_row(s.dpre[1], a.wh[1] + i * nh));
+      acc = L::Add(acc, L::Mul(s.g[i], L::Add(OpNeg::Run<L>(s.z[i]), one)));
+      acc = L::Add(acc, dot_row(s.dpre[0], a.wh[0] + i * nh));
+      ScatterLanes<L>(acc, dh + i, nh);
+    }
+  }
+  if (a.dx != nullptr) {
+    // ir, in, then iz.
+    float* dx = a.dx + r * nin;
+    for (int64_t j = 0; j < nin; ++j) {
+      V acc = dot_row(s.dpre[1], a.wx[1] + j * nh);
+      if (a.dx_add) acc = L::Add(L::Gather(dx + j, nin), acc);
+      acc = L::Add(acc, dot_row(s.dpre[2], a.wx[2] + j * nh));
+      acc = L::Add(acc, dot_row(s.dpre[0], a.wx[0] + j * nh));
+      ScatterLanes<L>(acc, dx + j, nin);
+    }
+  }
+  for (int gi = 0; gi < 3; ++gi) {
+    if (a.dpre[gi] == nullptr) continue;
+    for (int64_t c = 0; c < nh; ++c) {
+      ScatterLanes<L>(s.dpre[gi][c], a.dpre[gi] + r * nh + c, nh);
+    }
+  }
+  if (a.rh != nullptr) {
+    for (int64_t c = 0; c < nh; ++c) {
+      ScatterLanes<L>(L::Mul(s.r[c], s.h[c]), a.rh + r * nh + c, nh);
+    }
+  }
+}
+
+template <class B>
+void GruStepRows(const GruStepArgs& a, int64_t r0, int64_t r1,
+                 float* scratch) {
+  ForLaneBlocks<B>(r0, r1, [&]<class L>(int64_t r) {
+    GruStepBlock<L>(a, r, scratch);
+  });
+}
+
+template <class B>
+void GruStepBackwardRows(const GruStepArgs& a, int64_t r0, int64_t r1,
+                         float* scratch) {
+  ForLaneBlocks<B>(r0, r1, [&]<class L>(int64_t r) {
+    GruStepBackwardBlock<L>(a, r, scratch);
+  });
 }
 
 template <class B>
@@ -873,9 +1182,12 @@ KernelTable MakeTable(Backend backend) {
   t.normal_pdf = &NormalPdf<B>;
   t.copy = &CopyK<B>;
   t.matmul_rows = &MatMulRows<B>;
+  t.matmul_tn_rows = &MatMulTnRows<B>;
   t.ealgap_serve_rows = &EalgapServeRows<B>;
   t.region_attention = &RegionAttentionRange<B, B::kWidth>;
   t.region_attention_backward = &RegionAttentionBackward<B>;
+  t.gru_step = &GruStepRows<B>;
+  t.gru_step_backward = &GruStepBackwardRows<B>;
   return t;
 }
 

@@ -337,23 +337,50 @@ double SumSquares(const Tensor& a) {
   });
 }
 
+namespace {
+
+/// out[s] = A_s b[s] for `bs` stacked products of (k, n) b[s], where A_s
+/// is the (m, k) a[s] or, with trans_a, the transpose of the (k, m) a[s].
+/// Parallel over the flattened (batch, row) space so a few large matrices
+/// and many small ones both split well.
+Tensor StackedMatMul(const Tensor& a, const Tensor& b, int64_t bs, int64_t m,
+                     int64_t k, int64_t n, bool trans_a, Shape out_shape) {
+  const KernelTable& t = kernels::Active();
+  Tensor out(std::move(out_shape));
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  const int64_t row_ops = std::max<int64_t>(1, k * n);
+  const int64_t grain = std::max<int64_t>(1, kMatMulGrainOps / row_ops);
+  ParallelFor(0, bs * m, grain, [&](int64_t r0, int64_t r1) {
+    int64_t r = r0;
+    while (r < r1) {
+      const int64_t s = r / m;
+      const int64_t i = r % m;
+      const int64_t i1 = std::min(m, i + (r1 - r));
+      const float* as = pa + s * m * k;
+      const float* bsrc = pb + s * k * n;
+      float* os = po + s * m * n;
+      if (trans_a) {
+        t.matmul_tn_rows(as, m, bsrc, os, i, i1, k, n);
+      } else {
+        t.matmul_rows(as, bsrc, os, i, i1, k, n);
+      }
+      r += i1 - i;
+    }
+  });
+  return out;
+}
+
+}  // namespace
+
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   EALGAP_CHECK_EQ(a.ndim(), 2);
   EALGAP_CHECK_EQ(b.ndim(), 2);
   const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   EALGAP_CHECK_EQ(k, b.dim(0))
       << ShapeToString(a.shape()) << " x " << ShapeToString(b.shape());
-  const KernelTable& t = kernels::Active();
-  Tensor out({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  const int64_t row_ops = std::max<int64_t>(1, k * n);
-  const int64_t grain = std::max<int64_t>(1, kMatMulGrainOps / row_ops);
-  ParallelFor(0, m, grain, [&](int64_t i0, int64_t i1) {
-    t.matmul_rows(pa, pb, po, i0, i1, k, n);
-  });
-  return out;
+  return StackedMatMul(a, b, 1, m, k, n, false, {m, n});
 }
 
 Tensor BMatMul(const Tensor& a, const Tensor& b) {
@@ -363,27 +390,26 @@ Tensor BMatMul(const Tensor& a, const Tensor& b) {
   EALGAP_CHECK_EQ(bs, b.dim(0));
   EALGAP_CHECK_EQ(k, b.dim(1))
       << ShapeToString(a.shape()) << " x " << ShapeToString(b.shape());
-  const KernelTable& t = kernels::Active();
-  Tensor out({bs, m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  // Parallel over the flattened (batch, row) space so a few large matrices
-  // and many small ones both split well.
-  const int64_t row_ops = std::max<int64_t>(1, k * n);
-  const int64_t grain = std::max<int64_t>(1, kMatMulGrainOps / row_ops);
-  ParallelFor(0, bs * m, grain, [&](int64_t r0, int64_t r1) {
-    int64_t r = r0;
-    while (r < r1) {
-      const int64_t s = r / m;
-      const int64_t i = r % m;
-      const int64_t i1 = std::min(m, i + (r1 - r));
-      t.matmul_rows(pa + s * m * k, pb + s * k * n, po + s * m * n, i, i1, k,
-                    n);
-      r += i1 - i;
-    }
-  });
-  return out;
+  return StackedMatMul(a, b, bs, m, k, n, false, {bs, m, n});
+}
+
+Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
+  EALGAP_CHECK_EQ(a.ndim(), 2);
+  EALGAP_CHECK_EQ(b.ndim(), 2);
+  const int64_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
+  EALGAP_CHECK_EQ(k, b.dim(0))
+      << ShapeToString(a.shape()) << "^T x " << ShapeToString(b.shape());
+  return StackedMatMul(a, b, 1, m, k, n, true, {m, n});
+}
+
+Tensor BMatMulTransA(const Tensor& a, const Tensor& b) {
+  EALGAP_CHECK_EQ(a.ndim(), 3);
+  EALGAP_CHECK_EQ(b.ndim(), 3);
+  const int64_t bs = a.dim(0), k = a.dim(1), m = a.dim(2), n = b.dim(2);
+  EALGAP_CHECK_EQ(bs, b.dim(0));
+  EALGAP_CHECK_EQ(k, b.dim(1))
+      << ShapeToString(a.shape()) << "^T x " << ShapeToString(b.shape());
+  return StackedMatMul(a, b, bs, m, k, n, true, {bs, m, n});
 }
 
 namespace {
@@ -448,6 +474,117 @@ Tensor RegionAttentionBackward(const Tensor& x, const Tensor& w,
   a.dw = dw.data();
   ForRegions(a, rows, kernels::Active().region_attention_backward);
   return dw;
+}
+
+namespace {
+
+/// Checks GruStep's operand shapes and fills the kernel arguments shared
+/// by its forward and backward.
+kernels::GruStepArgs GruArgs(const Tensor& x, const Tensor& h,
+                             const GruTensors& w) {
+  EALGAP_CHECK_EQ(x.ndim(), 2);
+  EALGAP_CHECK_EQ(h.ndim(), 2);
+  EALGAP_CHECK_EQ(x.dim(0), h.dim(0));
+  kernels::GruStepArgs a;
+  a.rows = x.dim(0);
+  a.in = x.dim(1);
+  a.hidden = h.dim(1);
+  a.x = x.data();
+  a.h = h.data();
+  for (int g = 0; g < 3; ++g) {
+    EALGAP_CHECK(w.wx[g].shape() == (Shape{a.in, a.hidden}))
+        << ShapeToString(w.wx[g].shape());
+    EALGAP_CHECK(w.b[g].shape() == (Shape{a.hidden}))
+        << ShapeToString(w.b[g].shape());
+    EALGAP_CHECK(w.wh[g].shape() == (Shape{a.hidden, a.hidden}))
+        << ShapeToString(w.wh[g].shape());
+    a.wx[g] = w.wx[g].data();
+    a.b[g] = w.b[g].data();
+    a.wh[g] = w.wh[g].data();
+  }
+  return a;
+}
+
+/// Runs a GRU kernel over the rows, each chunk with its own scratch.
+void ForGruRows(const kernels::GruStepArgs& a, int64_t rows,
+                void (*kernel)(const kernels::GruStepArgs&, int64_t, int64_t,
+                               float*)) {
+  const int64_t row_ops =
+      std::max<int64_t>(1, 3 * (a.in + a.hidden) * a.hidden);
+  const int64_t grain = std::max<int64_t>(1, kMatMulGrainOps / row_ops);
+  ParallelFor(0, rows, grain, [&](int64_t r0, int64_t r1) {
+    Tensor scratch({kernels::GruStepScratchFloats(a.in, a.hidden)});
+    kernel(a, r0, r1, scratch.data());
+  });
+}
+
+/// Points *p at t's data, allocating t in `shape` when it is undefined;
+/// returns whether t held values to add onto.
+bool Destination(Tensor* t, const Shape& shape, float** p) {
+  const bool add = t->defined();
+  if (add) {
+    EALGAP_CHECK(t->shape() == shape) << ShapeToString(t->shape());
+  } else {
+    *t = Tensor(shape);
+  }
+  *p = t->data();
+  return add;
+}
+
+}  // namespace
+
+Tensor GruStep(const Tensor& x, const Tensor& h, const GruTensors& w,
+               Tensor* gates) {
+  kernels::GruStepArgs a = GruArgs(x, h, w);
+  const int64_t rows = x.dim(0);
+  Tensor out(h.shape());
+  a.out = out.data();
+  if (gates != nullptr) {
+    *gates = Tensor({3 * a.hidden, rows});
+    a.gates_out = gates->data();
+  }
+  ForGruRows(a, rows, kernels::Active().gru_step);
+  return out;
+}
+
+void GruStepBackward(const Tensor& x, const Tensor& h, const GruTensors& w,
+                     const Tensor& gates, const Tensor& gout,
+                     const GruStepGrads& d) {
+  kernels::GruStepArgs a = GruArgs(x, h, w);
+  const int64_t rows = x.dim(0);
+  EALGAP_CHECK(gates.shape() == (Shape{3 * a.hidden, rows}));
+  EALGAP_CHECK(gout.shape() == h.shape()) << ShapeToString(gout.shape());
+  a.gates = gates.data();
+  a.gout = gout.data();
+  bool weights = false;
+  for (int g = 0; g < 3; ++g) {
+    weights = weights || d.dwx[g] || d.db[g] || d.dwh[g];
+  }
+  Tensor dpre[3], rh;
+  if (weights) {
+    for (int g = 0; g < 3; ++g) {
+      dpre[g] = Tensor(h.shape());
+      a.dpre[g] = dpre[g].data();
+    }
+  }
+  if (d.dwh[2] != nullptr) {
+    rh = Tensor(h.shape());
+    a.rh = rh.data();
+  }
+  if (d.dx != nullptr) a.dx_add = Destination(d.dx, x.shape(), &a.dx);
+  if (d.dh != nullptr) a.dh_add = Destination(d.dh, h.shape(), &a.dh);
+  ForGruRows(a, rows, kernels::Active().gru_step_backward);
+  // The Linears' weight gradients x^T g and bias gradients as the
+  // broadcast Add's reduction gave them.
+  for (int g = 0; g < 3; ++g) {
+    if (d.dwx[g] != nullptr) *d.dwx[g] = MatMulTransA(x, dpre[g]);
+    if (d.db[g] != nullptr) {
+      *d.db[g] = ReduceToShape(dpre[g], {1, a.hidden}).Reshape({a.hidden});
+    }
+    if (d.dwh[g] != nullptr) {
+      *d.dwh[g] = MatMulTransA(g == 2 ? rh : h, dpre[g]);
+    }
+  }
 }
 
 Tensor TransposeLast2(const Tensor& a) {

@@ -57,6 +57,11 @@ double SumSquares(const Tensor& a);
 Tensor MatMul(const Tensor& a, const Tensor& b);
 /// Batched 3-D matrix product: (B,m,k) x (B,k,n) -> (B,m,n).
 Tensor BMatMul(const Tensor& a, const Tensor& b);
+/// a^T b for (k,m) a and (k,n) b, and its batched form (B,k,m) x (B,k,n)
+/// -> (B,m,n): MatMul/BMatMul of TransposeLast2(a) by b bit for bit,
+/// reading a's columns in place instead of copying them.
+Tensor MatMulTransA(const Tensor& a, const Tensor& b);
+Tensor BMatMulTransA(const Tensor& a, const Tensor& b);
 /// Swap the last two dims (rank >= 2); copies.
 Tensor TransposeLast2(const Tensor& a);
 /// Eq. 6's per-region attention (RegionAttention in tensor/autograd.h):
@@ -69,6 +74,32 @@ Tensor RegionAttention(const Tensor& x, const Tensor& w, int64_t j,
 Tensor RegionAttentionBackward(const Tensor& x, const Tensor& w,
                                const Tensor& scores, const Tensor& gout,
                                int64_t j);
+/// The nine parameters of a GRU cell, gates in z, r, n order: the input
+/// weights (in, H), their (H) biases and the hidden weights (H, H).
+struct GruTensors {
+  Tensor wx[3], b[3], wh[3];
+};
+/// One GRU step (GruStep in tensor/autograd.h): x (R, in) and h (R, H)
+/// -> (R, H). When `gates` is non-null it receives the (3H, R) gates z,
+/// r, n of every row (kernels::GruStepArgs::gates_out) that
+/// GruStepBackward reads.
+Tensor GruStep(const Tensor& x, const Tensor& h, const GruTensors& w,
+               Tensor* gates);
+/// Where GruStepBackward puts each gradient; null entries are skipped.
+/// dx and dh are added onto in the replaced graph's order when they hold
+/// values, else allocated; the parameter gradients are allocated.
+struct GruStepGrads {
+  Tensor* dx = nullptr;
+  Tensor* dh = nullptr;
+  Tensor* dwx[3] = {};
+  Tensor* db[3] = {};
+  Tensor* dwh[3] = {};
+};
+/// The gradients of GruStep from its inputs, its gates and gout = d loss /
+/// d output.
+void GruStepBackward(const Tensor& x, const Tensor& h, const GruTensors& w,
+                     const Tensor& gates, const Tensor& gout,
+                     const GruStepGrads& d);
 
 // --- reductions ---
 Tensor SumAll(const Tensor& a);   ///< shape {1}

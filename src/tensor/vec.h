@@ -64,6 +64,10 @@ struct VScalar {
   static V Load(const float* p) { return *p; }
   static void Store(float* p, V v) { *p = v; }
   static V Set1(float v) { return v; }
+  /// Lane i = p[i * stride], and its inverse p[i * stride] = lane i: one
+  /// field of consecutive rows. (kWidth - 1) * stride must fit an int32.
+  static V Gather(const float* p, int64_t) { return *p; }
+  static void Scatter(float* p, int64_t, V v) { *p = v; }
 
   static V Add(V a, V b) { return a + b; }
   static V Sub(V a, V b) { return a - b; }
@@ -164,6 +168,15 @@ struct VSse2 {
   static V Load(const float* p) { return _mm_loadu_ps(p); }
   static void Store(float* p, V v) { _mm_storeu_ps(p, v); }
   static V Set1(float v) { return _mm_set1_ps(v); }
+  static V Gather(const float* p, int64_t s) {
+    return _mm_setr_ps(p[0], p[s], p[2 * s], p[3 * s]);
+  }
+  static void Scatter(float* p, int64_t s, V v) {
+    _mm_store_ss(p, v);
+    _mm_store_ss(p + s, _mm_shuffle_ps(v, v, 1));
+    _mm_store_ss(p + 2 * s, _mm_shuffle_ps(v, v, 2));
+    _mm_store_ss(p + 3 * s, _mm_shuffle_ps(v, v, 3));
+  }
 
   static V Add(V a, V b) { return _mm_add_ps(a, b); }
   static V Sub(V a, V b) { return _mm_sub_ps(a, b); }
@@ -252,6 +265,18 @@ struct VAvx2 {
   static V Load(const float* p) { return _mm256_loadu_ps(p); }
   static void Store(float* p, V v) { _mm256_storeu_ps(p, v); }
   static V Set1(float v) { return _mm256_set1_ps(v); }
+  static V Gather(const float* p, int64_t s) {
+    const __m256i index =
+        _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                           _mm256_set1_epi32(static_cast<int32_t>(s)));
+    return _mm256_mask_i32gather_ps(_mm256_setzero_ps(), p, index,
+                                    _mm256_castsi256_ps(_mm256_set1_epi32(-1)),
+                                    4);
+  }
+  static void Scatter(float* p, int64_t s, V v) {
+    VSse2::Scatter(p, s, _mm256_castps256_ps128(v));
+    VSse2::Scatter(p + 4 * s, s, _mm256_extractf128_ps(v, 1));
+  }
 
   static V Add(V a, V b) { return _mm256_add_ps(a, b); }
   static V Sub(V a, V b) { return _mm256_sub_ps(a, b); }
@@ -337,6 +362,19 @@ struct VAvx512 {
   static V Load(const float* p) { return _mm512_loadu_ps(p); }
   static void Store(float* p, V v) { _mm512_storeu_ps(p, v); }
   static V Set1(float v) { return _mm512_set1_ps(v); }
+  static __m512i GatherIndex(int64_t s) {
+    return _mm512_mullo_epi32(
+        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                          15),
+        _mm512_set1_epi32(static_cast<int32_t>(s)));
+  }
+  static V Gather(const float* p, int64_t s) {
+    return _mm512_mask_i32gather_ps(_mm512_setzero_ps(), 0xFFFF,
+                                    GatherIndex(s), p, 4);
+  }
+  static void Scatter(float* p, int64_t s, V v) {
+    _mm512_i32scatter_ps(p, GatherIndex(s), v, 4);
+  }
 
   static V Add(V a, V b) { return _mm512_add_ps(a, b); }
   static V Sub(V a, V b) { return _mm512_sub_ps(a, b); }

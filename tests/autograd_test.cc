@@ -114,6 +114,27 @@ TEST(AutogradTest, DataOperandGetsNoGradient) {
   }
 }
 
+// MatMul's and BMatMul's backward take d b = a^T g without copying a's
+// transpose; the bits must be those the transposed copy gives, at output
+// widths below, at and past every table's vector width.
+TEST(AutogradTest, TransposedOperandMatMulMatchesTheCopy) {
+  Rng rng(31);
+  for (int64_t n : {1, 5, 16, 17, 40}) {
+    for (int64_t m : {1, 7, 20}) {
+      const std::string what =
+          "m=" + std::to_string(m) + " n=" + std::to_string(n);
+      const Tensor a = Tensor::Randn({33, m}, rng, 0.f, 1.f);
+      const Tensor b = Tensor::Randn({33, n}, rng, 0.f, 1.f);
+      ExpectBitEqual(ops::MatMul(ops::TransposeLast2(a), b),
+                     ops::MatMulTransA(a, b), "MatMulTransA " + what);
+      const Tensor a3 = Tensor::Randn({3, 9, m}, rng, 0.f, 1.f);
+      const Tensor b3 = Tensor::Randn({3, 9, n}, rng, 0.f, 1.f);
+      ExpectBitEqual(ops::BMatMul(ops::TransposeLast2(a3), b3),
+                     ops::BMatMulTransA(a3, b3), "BMatMulTransA " + what);
+    }
+  }
+}
+
 // --- RegionAttention (Eq. 6) ----------------------------------------------
 
 // Eq. 6 as the graph of BMatMuls, Slices and SoftmaxLastDim that

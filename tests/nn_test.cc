@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "common/state_file.h"
+#include "common/thread_pool.h"
 #include "nn/conv2d.h"
 #include "nn/init.h"
 #include "nn/linear.h"
@@ -177,6 +178,193 @@ TEST(RnnCellsTest, GruParameterGradientsMatchFiniteDifferences) {
     std::vector<Var> steps;
     for (const Tensor& x : inputs) steps.push_back(Var::Leaf(x.Clone()));
     return SumAll(RunGru(gru, steps, nn::ZeroState(2, 3)));
+  });
+}
+
+// --- GruStep: Eq. 10's GRU step as one op ------------------------------------
+
+void ExpectBitEqual(const Tensor& want, const Tensor& got,
+                    const std::string& what) {
+  ASSERT_EQ(want.shape(), got.shape()) << what;
+  for (int64_t i = 0; i < want.numel(); ++i) {
+    uint32_t a, b;
+    std::memcpy(&a, want.data() + i, sizeof(a));
+    std::memcpy(&b, got.data() + i, sizeof(b));
+    ASSERT_EQ(a, b) << what << " element " << i << ": " << want.data()[i]
+                    << " vs " << got.data()[i];
+  }
+}
+
+// nn::Linear::Forward's graph over given parameters (b may be undefined).
+Var LinearGraph(const Var& x, const Var& w, const Var& b) {
+  const int64_t in = w.value().dim(0), out = w.value().dim(1);
+  const int64_t rows = x.value().numel() / in;
+  Var y = MatMul(Reshape(x, {rows, in}), w);
+  if (b.defined()) y = Add(y, Reshape(b, {1, out}));
+  return Reshape(y, {rows, out});
+}
+
+// GruCell::Forward as the graph of Linears, Sigmoid, Tanh and elementwise
+// ops it was built from before GruStep.
+Var GruGraph(const Var& x, const Var& h, const GruParams& p) {
+  Var z = Sigmoid(Add(LinearGraph(x, p.wx[0], p.b[0]),
+                      LinearGraph(h, p.wh[0], Var())));
+  Var r = Sigmoid(Add(LinearGraph(x, p.wx[1], p.b[1]),
+                      LinearGraph(h, p.wh[1], Var())));
+  Var n = Tanh(Add(LinearGraph(x, p.wx[2], p.b[2]),
+                   LinearGraph(Mul(r, h), p.wh[2], Var())));
+  return Add(Mul(AddScalar(Neg(z), 1.f), h), Mul(z, n));
+}
+
+// Fresh parameter leaves holding the same values.
+struct GruLeaves {
+  Tensor wx[3], b[3], wh[3];
+  GruLeaves(int64_t in, int64_t hidden, Rng& rng) {
+    for (int g = 0; g < 3; ++g) {
+      wx[g] = Tensor::Rand({in, hidden}, rng, -1.2f, 1.2f);
+      b[g] = Tensor::Rand({hidden}, rng, -0.5f, 0.5f);
+      wh[g] = Tensor::Rand({hidden, hidden}, rng, -1.2f, 1.2f);
+    }
+  }
+  GruParams Vars() const {
+    GruParams p;
+    for (int g = 0; g < 3; ++g) {
+      p.wx[g] = Var::Leaf(wx[g].Clone(), true);
+      p.b[g] = Var::Leaf(b[g].Clone(), true);
+      p.wh[g] = Var::Leaf(wh[g].Clone(), true);
+    }
+    return p;
+  }
+};
+
+void ExpectParamGradsBitEqual(const GruParams& want, const GruParams& got,
+                              const std::string& what) {
+  const char* gate = "zrn";
+  for (int g = 0; g < 3; ++g) {
+    const std::string name = what + " gate " + gate[g];
+    ExpectBitEqual(want.wx[g].node()->grad, got.wx[g].node()->grad,
+                   "dwx " + name);
+    ExpectBitEqual(want.b[g].node()->grad, got.b[g].node()->grad, "db " + name);
+    ExpectBitEqual(want.wh[g].node()->grad, got.wh[g].node()->grad,
+                   "dwh " + name);
+  }
+}
+
+TEST(GruStepTest, MatchesTheGraphBitForBit) {
+  const int saved_threads = GetNumThreads();
+  struct Shape3 {
+    int64_t rows, in, hidden;
+  };
+  for (const Shape3 s : {Shape3{320, 5, 16}, Shape3{37, 1, 3},
+                         Shape3{19, 5, 70}, Shape3{1, 2, 1}}) {
+    Rng rng(static_cast<uint64_t>(s.rows * 1000 + s.in * 100 + s.hidden));
+    const GruLeaves w(s.in, s.hidden, rng);
+    const Tensor x = Tensor::Randn({s.rows, s.in}, rng, 0.f, 1.f);
+    const Tensor h = Tensor::Rand({s.rows, s.hidden}, rng, -1.f, 1.f);
+    // d loss / d output = c, a data weight per element.
+    const Tensor c = Tensor::Randn({s.rows, s.hidden}, rng, 0.f, 1.f);
+    for (int threads : {1, 4}) {
+      SetNumThreads(threads);
+      for (bool h_requires_grad : {true, false}) {
+        const std::string what =
+            "rows=" + std::to_string(s.rows) + " in=" + std::to_string(s.in) +
+            " H=" + std::to_string(s.hidden) +
+            " threads=" + std::to_string(threads) +
+            (h_requires_grad ? "" : " data h");
+        struct Run {
+          Tensor out;
+          Var x, h;
+          GruParams p;
+        };
+        auto run = [&](Var (*fn)(const Var&, const Var&, const GruParams&)) {
+          Run r{Tensor(), Var::Leaf(x.Clone(), true),
+                Var::Leaf(h.Clone(), h_requires_grad), w.Vars()};
+          Var out = fn(r.x, r.h, r.p);
+          Backward(SumAll(Mul(out, Var::Leaf(c))));
+          r.out = out.value();
+          return r;
+        };
+        const Run graph = run(GruGraph);
+        const Run op = run(GruStep);
+        ExpectBitEqual(graph.out, op.out, "forward " + what);
+        ExpectBitEqual(graph.x.node()->grad, op.x.node()->grad, "dx " + what);
+        if (h_requires_grad) {
+          ExpectBitEqual(graph.h.node()->grad, op.h.node()->grad,
+                         "dh " + what);
+        } else {
+          EXPECT_FALSE(op.h.node()->grad.defined()) << what;
+        }
+        ExpectParamGradsBitEqual(graph.p, op.p, what);
+        NoGradGuard no_grad;
+        const GruParams p = w.Vars();
+        const Var out = GruStep(Var::Leaf(x), Var::Leaf(h), p);
+        EXPECT_FALSE(out.requires_grad()) << what;
+        ExpectBitEqual(graph.out, out.value(), "no-grad forward " + what);
+      }
+    }
+  }
+  SetNumThreads(saved_threads);
+}
+
+// EALGAP's window: M = 3 steps from a zero state, inputs sliced out of one
+// differentiable tensor, and a tanh head on every step's state feeding the
+// loss, so parameters, x and h each sum contributions from several places.
+// The op must reproduce the graph's order of those sums bit for bit.
+TEST(GruStepTest, UnrolledWindowMatchesTheGraphBitForBit) {
+  const int64_t m = 3, rows = 40, in = 5, hidden = 16;
+  Rng rng(77);
+  const GruLeaves w(in, hidden, rng);
+  const Tensor source = Tensor::Randn({m, rows, in}, rng, 0.f, 1.f);
+  const Tensor head_w = Tensor::Rand({hidden, 1}, rng, -1.f, 1.f);
+  const Tensor c = Tensor::Randn({rows}, rng, 0.f, 1.f);
+  struct Run {
+    Var scale, head_w, head_b;
+    GruParams p;
+  };
+  auto run = [&](Var (*fn)(const Var&, const Var&, const GruParams&)) {
+    Run r{Var::Leaf(Tensor::Full({1}, 0.8f), true),
+          Var::Leaf(head_w.Clone(), true), Var::Leaf(Tensor::Zeros({1}), true),
+          w.Vars()};
+    Var e = Tanh(Mul(Var::Leaf(source), r.scale));
+    Var h = Var::Leaf(Tensor::Zeros({rows, hidden}));
+    std::vector<Var> d;
+    for (int64_t t = 0; t < m; ++t) {
+      h = fn(Reshape(Slice(e, 0, t, t + 1), {rows, in}), h, r.p);
+      d.push_back(Reshape(Tanh(LinearGraph(h, r.head_w, r.head_b)), {rows}));
+    }
+    Var stacked = Stack(d);
+    Backward(Add(SumAll(Mul(d.back(), Var::Leaf(c))),
+                 MulScalar(MeanAll(Mul(stacked, stacked)), 0.5f)));
+    return r;
+  };
+  const Run graph = run(GruGraph);
+  const Run op = run(GruStep);
+  ExpectParamGradsBitEqual(graph.p, op.p, "window");
+  ExpectBitEqual(graph.scale.node()->grad, op.scale.node()->grad, "dscale");
+  ExpectBitEqual(graph.head_w.node()->grad, op.head_w.node()->grad, "dhead_w");
+  ExpectBitEqual(graph.head_b.node()->grad, op.head_b.node()->grad, "dhead_b");
+}
+
+TEST(GruStepTest, MatchesFiniteDifferences) {
+  Rng rng(12);
+  const int64_t rows = 3, in = 2, hidden = 3;
+  std::vector<Tensor> inputs = {Tensor::Randn({rows, in}, rng, 0.f, 1.f),
+                                Tensor::Rand({rows, hidden}, rng, -1.f, 1.f)};
+  for (int g = 0; g < 3; ++g) {
+    inputs.push_back(Tensor::Rand({in, hidden}, rng, -1.f, 1.f));
+    inputs.push_back(Tensor::Rand({hidden}, rng, -0.5f, 0.5f));
+    inputs.push_back(Tensor::Rand({hidden, hidden}, rng, -1.f, 1.f));
+  }
+  ExpectGradientsMatch(std::move(inputs), [](std::vector<Var>& v) {
+    GruParams p;
+    for (int g = 0; g < 3; ++g) {
+      p.wx[g] = v[2 + 3 * g];
+      p.b[g] = v[3 + 3 * g];
+      p.wh[g] = v[4 + 3 * g];
+    }
+    // Two steps, so dh flows through the op as well as into it.
+    Var h = GruStep(v[0], GruStep(v[0], v[1], p), p);
+    return SumAll(Mul(h, h));
   });
 }
 

@@ -310,6 +310,49 @@ TEST(VecParity, MatMulRows) {
   }
 }
 
+// Outputs narrower than a table's vectors go across rows, and matmul_tn_rows
+// reads A^T in place: both must give the scalar table's bits (and
+// matmul_tn_rows those of matmul_rows on a transposed copy) for every
+// width up to past the table's, every row count and row split, onto a
+// running output that is not zero.
+TEST(VecParity, MatMulNarrow) {
+  for (const NamedTable& alt : AltTables()) {
+    const Backend b = alt.t->backend;
+    const int64_t width = b == Backend::kSse2 ? 4 : b == Backend::kAvx2 ? 8 : 16;
+    for (int64_t n = 1; n <= width + 1; ++n) {
+      for (int64_t m = 1; m <= 40; ++m) {
+        for (int64_t k : {1, 6}) {
+          const std::vector<float> a = MakeInput(m * k, 0, 6 + n);
+          const std::vector<float> b = MakeInput(k * n, 0, 7 + m);
+          const std::vector<float> start = MakeInput(m * n, 0, 8);
+          std::vector<float> at(k * m);
+          for (int64_t i = 0; i < m; ++i) {
+            for (int64_t p = 0; p < k; ++p) at[p * m + i] = a[i * k + p];
+          }
+          const std::string what = "[" + alt.name + "] m=" + std::to_string(m) +
+                                   " k=" + std::to_string(k) +
+                                   " n=" + std::to_string(n);
+          std::vector<float> ref = start;
+          Scalar().matmul_rows(a.data(), b.data(), ref.data(), 0, m, k, n);
+          const int64_t mid = m / 3;
+          std::vector<float> got = start, got_tn = start, ref_tn = start;
+          alt.t->matmul_rows(a.data(), b.data(), got.data(), 0, mid, k, n);
+          alt.t->matmul_rows(a.data(), b.data(), got.data(), mid, m, k, n);
+          alt.t->matmul_tn_rows(at.data(), m, b.data(), got_tn.data(), 0, mid,
+                                k, n);
+          alt.t->matmul_tn_rows(at.data(), m, b.data(), got_tn.data(), mid, m,
+                                k, n);
+          Scalar().matmul_tn_rows(at.data(), m, b.data(), ref_tn.data(), 0, m,
+                                  k, n);
+          ExpectBitEqual(ref, got, 0, m * n, "matmul_rows " + what);
+          ExpectBitEqual(ref, got_tn, 0, m * n, "matmul_tn_rows " + what);
+          ExpectBitEqual(ref, ref_tn, 0, m * n, "scalar matmul_tn_rows " + what);
+        }
+      }
+    }
+  }
+}
+
 // NaN and Inf must flow through elementwise kernels identically in every
 // backend (max_block is excluded by contract: NaN-free input only).
 TEST(VecParity, NanInfPropagation) {
@@ -612,6 +655,121 @@ TEST(VecParity, RegionAttention) {
 
 // Exp must saturate exactly: +inf above the clamp threshold, +0 below it,
 // and NaN for NaN.
+// Eq. 10's GRU kernels must give the scalar table's next state, gates,
+// gate gradients, r * h, dx and dh in every table, for every block
+// remainder (R = 1..40 from several starting rows, each range split into
+// two calls), must add dx onto what is there when told to, and must
+// write nothing outside their rows.
+TEST(VecParity, GruStep) {
+  constexpr float kUnwritten = -7.f;
+  struct Widths {
+    int64_t in, hidden;
+  };
+  for (const Widths wd : {Widths{5, 16}, Widths{1, 3}, Widths{3, 21}}) {
+    const int64_t nin = wd.in, nh = wd.hidden;
+    Tensor scratch({kernels::GruStepScratchFloats(nin, nh)});
+    for (int64_t rows = 1; rows <= 40; ++rows) {
+      Rng rng(static_cast<uint64_t>(rows * 100 + nin * 10 + nh));
+      auto fill = [&rng](int64_t count, double lo, double hi) {
+        std::vector<float> v(count);
+        for (float& e : v) e = static_cast<float>(rng.Uniform(lo, hi));
+        return v;
+      };
+      const std::vector<float> x = fill(rows * nin, -2.0, 2.0);
+      // Every fourth state is zero, as the first step's is.
+      std::vector<float> h = fill(rows * nh, -1.0, 1.0);
+      for (int64_t r = 0; r < rows; r += 4) {
+        std::fill_n(h.begin() + r * nh, nh, 0.f);
+      }
+      const std::vector<float> gout = fill(rows * nh, -1.0, 1.0);
+      const std::vector<float> dx0 = fill(rows * nin, -1.0, 1.0);
+      std::vector<float> wx[3], b[3], wh[3];
+      for (int g = 0; g < 3; ++g) {
+        wx[g] = fill(nin * nh, -1.5, 1.5);
+        b[g] = fill(nh, -0.5, 0.5);
+        wh[g] = fill(nh * nh, -1.5, 1.5);
+      }
+      struct Result {
+        std::vector<float> out, gates, dpre[3], rh, dx, dh;
+      };
+      auto run = [&](const KernelTable& t, int64_t r0) {
+        Result res;
+        res.out.assign(rows * nh, kUnwritten);
+        res.gates.assign(3 * nh * rows, kUnwritten);
+        for (auto& d : res.dpre) d.assign(rows * nh, kUnwritten);
+        res.rh.assign(rows * nh, kUnwritten);
+        res.dx = dx0;
+        res.dh.assign(rows * nh, kUnwritten);
+        kernels::GruStepArgs a;
+        a.rows = rows;
+        a.in = nin;
+        a.hidden = nh;
+        a.x = x.data();
+        a.h = h.data();
+        for (int g = 0; g < 3; ++g) {
+          a.wx[g] = wx[g].data();
+          a.b[g] = b[g].data();
+          a.wh[g] = wh[g].data();
+          a.dpre[g] = res.dpre[g].data();
+        }
+        a.out = res.out.data();
+        a.gates_out = res.gates.data();
+        a.gates = res.gates.data();
+        a.gout = gout.data();
+        a.rh = res.rh.data();
+        a.dx = res.dx.data();
+        a.dx_add = true;
+        a.dh = res.dh.data();
+        const int64_t mid = r0 + (rows - r0) / 2;
+        t.gru_step(a, r0, mid, scratch.data());
+        t.gru_step(a, mid, rows, scratch.data());
+        t.gru_step_backward(a, r0, mid, scratch.data());
+        t.gru_step_backward(a, mid, rows, scratch.data());
+        return res;
+      };
+      const Result ref = run(Scalar(), 0);
+      for (const NamedTable& alt : AltTables()) {
+        for (int64_t r0 : {0, 1, 3}) {
+          if (r0 >= rows) continue;
+          const Result got = run(*alt.t, r0);
+          // `row(i)` is the row element i belongs to; rows before r0 must
+          // hold `before(i)`.
+          auto expect = [&](const std::vector<float>& want,
+                            const std::vector<float>& have, auto row,
+                            auto before, const char* what) {
+            for (size_t i = 0; i < want.size(); ++i) {
+              const float e = row(i) < r0 ? before(i) : want[i];
+              ASSERT_EQ(Bits(e), Bits(have[i]))
+                  << what << " [" << alt.name << "] in=" << nin
+                  << " H=" << nh << " rows=" << rows << " from " << r0
+                  << ": element " << i << " scalar=" << e
+                  << " simd=" << have[i];
+            }
+          };
+          auto row_major = [](int64_t width) {
+            return [width](size_t i) { return static_cast<int64_t>(i) / width; };
+          };
+          auto unwritten = [](size_t) { return kUnwritten; };
+          expect(ref.out, got.out, row_major(nh), unwritten, "gru_step out");
+          expect(ref.gates, got.gates,
+                 [rows](size_t i) { return static_cast<int64_t>(i) % rows; },
+                 unwritten, "gru_step gates");
+          for (int g = 0; g < 3; ++g) {
+            expect(ref.dpre[g], got.dpre[g], row_major(nh), unwritten,
+                   "gru_step_backward dpre");
+          }
+          expect(ref.rh, got.rh, row_major(nh), unwritten,
+                 "gru_step_backward rh");
+          expect(ref.dx, got.dx, row_major(nin),
+                 [&dx0](size_t i) { return dx0[i]; }, "gru_step_backward dx");
+          expect(ref.dh, got.dh, row_major(nh), unwritten,
+                 "gru_step_backward dh");
+        }
+      }
+    }
+  }
+}
+
 TEST(VecMath, ExpEdges) {
   const KernelTable& t = *kernels::Table(Backend::kScalar);
   const float in[6] = {89.f, 1000.f, -88.f, -1000.f,
